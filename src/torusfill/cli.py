@@ -20,7 +20,6 @@ from . import fillings as fil
 from . import lattice as lat
 from .blowup import embeddability_witness
 from .divisor import (
-    Divisor,
     cycle_monodromy,
     divisor_to_dict,
     dual_graph,
@@ -31,7 +30,6 @@ from .sl2z import (
     HYPERBOLIC,
     Mat2,
     classify_trace,
-    cyclic_canonical,
     hyperbolic_standard_form,
     is_standard_string,
     monodromy,
@@ -278,8 +276,8 @@ def _report_parabolic(args):
     n = args.n
     if n is None:
         raise DomainError("parabolic needs --n")
-    solutions = fil.parabolic_solutions(n)
     raw = fil.parabolic_solutions_raw(n)
+    solutions = fil._filter_parabolic(n, raw)
     report = {
         "n": n,
         "solutions": [_solution_dict(s) for s in solutions],
@@ -368,20 +366,18 @@ def _report_lattice(args):
     if args.gram is None:
         raise DomainError("lattice needs --gram 'a,b;c,d'")
     gram = args.gram
-    d, u, v = lat.smith_normal_form(gram)
+    diag = lat.smith_diagonal(gram)
+    free_rank, torsion = lat._cokernel_from_diagonal(len(gram), diag)
     report = {
         "gram": [list(r) for r in gram],
-        "smith_diagonal": [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))],
-        "cokernel": {
-            "free_rank": lat.cokernel_invariants(gram)[0],
-            "torsion": list(lat.cokernel_invariants(gram)[1]),
-        },
+        "smith_diagonal": list(diag),
+        "cokernel": {"free_rank": free_rank, "torsion": list(torsion)},
     }
     rows = len(gram)
     if rows and len(gram[0]) == rows and all(
         gram[i][j] == gram[j][i] for i in range(rows) for j in range(rows)
     ):
-        report["invariants"] = _invariants_dict(lat.gram_invariants(gram))
+        report["invariants"] = _invariants_dict(lat._gram_invariants(gram, diag))
         report["negative_definite"] = lat.is_negative_definite(gram)
     return report
 

@@ -40,15 +40,11 @@ from .divisor import (
     HClass,
     blowup_node_total,
     cycle_cap_from_path,
-    divisor_to_dict,
-    dual_graph,
     is_anticanonical,
 )
 from .errors import DomainError, ResourceLimitError
 from .lattice import (
     LatticeInvariants,
-    Sublattice,
-    diagonal_gram,
     lattice_invariants,
     orthogonal_complement,
 )
@@ -263,10 +259,6 @@ class ParabolicSolution:
     b2_rank_consistent: int
 
 
-class _Raw(tuple):
-    pass
-
-
 def _raw_cp2(n):
     """All (a, b_1, multiset of b_i for i > 1) solving the plane system
     n = a^2 - sum b_i^2,  3a - sum b_i = n + 2,  a - b_1 = 2,
@@ -348,8 +340,11 @@ def parabolic_solutions(n: int) -> list:
     is 4 - n; the rank identity of euler_diagnostic favours 5 - n, and
     both values are carried so the divergence stays visible.
     """
-    raw = parabolic_solutions_raw(n)
+    return _filter_parabolic(n, parabolic_solutions_raw(n))
 
+
+def _filter_parabolic(n: int, raw: dict) -> list:
+    """parabolic_solutions from the raw solutions of parameter n."""
     survivors_cp2 = []
     for a, b1, rest in raw[CP2]:
         if _reject_disjoint_exceptional(rest):

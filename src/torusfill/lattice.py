@@ -3,8 +3,10 @@
 Matrices are sequences of equal-length rows of Python integers; results
 are returned as tuples of tuples.  Everything is exact: Smith normal
 form with its unimodular transforms, saturated kernels, Gram
-determinants, parity and signature.  Nothing here ever touches floating
-point, and unbounded integers rule out overflow.
+determinants, parity and signature.  Determinant, signature and
+negative definiteness of a symmetric form come from one fraction-free
+symmetric (Bareiss) elimination pass over the integers.  Nothing here
+ever touches floating point, and unbounded integers rule out overflow.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ def _mat_mul(x, y):
     if not x or not y:
         return []
     inner = len(y)
-    assert all(len(r) == inner for r in [x[0]]) or True
     cols = len(y[0])
     return [
         [sum(xrow[k] * y[k][j] for k in range(inner)) for j in range(cols)]
@@ -189,11 +190,16 @@ def smith_diagonal(mat):
 def cokernel_invariants(mat):
     """(free rank, torsion divisors) of the cokernel of the map Z^cols ->
     Z^rows given by the matrix."""
-    rows = len(tuple(mat))
-    diag = smith_diagonal(mat) if rows else ()
+    rows = tuple(mat)
+    return _cokernel_from_diagonal(len(rows), smith_diagonal(rows) if rows else ())
+
+
+def _cokernel_from_diagonal(nrows, diag):
+    """cokernel_invariants of a matrix with nrows rows and the given
+    Smith diagonal."""
     rank = sum(1 for x in diag if x)
     torsion = tuple(x for x in diag if x > 1)
-    return rows - rank, torsion
+    return nrows - rank, torsion
 
 
 def integer_kernel(mat):
@@ -239,45 +245,71 @@ def determinant(mat):
     return sign * a[-1][-1]
 
 
-def signature(gram):
-    """(positive, negative, zero) inertia of a symmetric integer matrix,
-    computed by exact rational congruence diagonalisation."""
-    a = [[Fraction(x) for x in row] for row in gram]
+def _sym_eliminate(gram):
+    """(det, (pos, neg, zero)) of a symmetric integer matrix from one
+    fraction-free symmetric elimination pass.
+
+    This is Bareiss elimination under congruence.  Once the pivots of a
+    set L of indices are processed, each trailing entry a_ij is the
+    minor of rows L + {i} and columns L + {j}, so dividing by the
+    previous pivot (the minor of L) is exact.  A zero pivot a_kk is
+    replaced by a symmetric swap with a nonzero trailing diagonal entry;
+    failing that, adding row and column i to row and column k makes
+    a_kk = 2 a_ik; failing that, index k pairs to zero with the whole
+    trailing block, so it counts towards the radical and is skipped
+    without becoming the previous pivot.  All three moves are integer
+    congruences of the trailing block, which keep the minors integral.
+
+    By Jacobi's rule the pivot's diagonal entry in the congruent
+    diagonal form has the sign of a_kk times the previous pivot.  Swaps
+    and row-and-column additions leave the determinant unchanged, so it
+    is the last pivot, or 0 when some index was skipped.
+    """
+    a = _copy(gram)
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise DomainError("symmetric form expected, got a non-square matrix")
     for i in range(n):
-        for j in range(n):
+        for j in range(i):
             if a[i][j] != a[j][i]:
-                raise DomainError("signature of a non-symmetric matrix")
+                raise DomainError("symmetric form expected, got a non-symmetric matrix")
     pos = neg = zero = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            swap = next((i for i in range(k + 1, n) if a[i][i]), None)
             if swap is not None:
                 a[k], a[swap] = a[swap], a[k]
-                for row in a:
+                for row in a[k:]:
                     row[k], row[swap] = row[swap], row[k]
             else:
-                other = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+                other = next((i for i in range(k + 1, n) if a[i][k]), None)
                 if other is None:
                     zero += 1
                     continue
                 # remaining diagonal vanishes, so this makes a_kk = 2 a_ik != 0
-                for j in range(n):
-                    a[k][j] += a[other][j]
-                for i in range(n):
-                    a[i][k] += a[i][other]
-        if a[k][k] > 0:
+                row_k, row_o = a[k], a[other]
+                for j in range(k, n):
+                    row_k[j] += row_o[j]
+                for row in a[k:]:
+                    row[k] += row[other]
+        pivot = a[k][k]
+        if (pivot > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f:
-                for j in range(n):
-                    a[i][j] -= f * a[k][j]
-                for j in range(n):
-                    a[j][i] -= f * a[j][k]
-    return (pos, neg, zero)
+        tail = a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return (0 if zero else prev), (pos, neg, zero)
+
+
+def signature(gram):
+    """(positive, negative, zero) inertia of a symmetric integer matrix,
+    from one fraction-free symmetric elimination pass."""
+    return _sym_eliminate(gram)[1]
 
 
 def parity(gram):
@@ -288,16 +320,12 @@ def parity(gram):
 
 
 def is_negative_definite(gram) -> bool:
-    """Sylvester test on leading principal minors, exactly."""
-    rows = [tuple(r) for r in gram]
-    n = len(rows)
-    if n == 0:
-        return True
-    for k in range(1, n + 1):
-        minor = determinant([row[:k] for row in rows[:k]])
-        if minor * (-1) ** k <= 0:
-            return False
-    return True
+    """Whether a symmetric integer matrix is negative definite: every
+    pivot of the symmetric elimination pass is negative, which is
+    Sylvester's criterion on the leading minors of a congruent matrix.
+    Raises DomainError on a non-square or non-symmetric matrix."""
+    _, (pos, _, zero) = _sym_eliminate(gram)
+    return pos == zero == 0
 
 
 @dataclass(frozen=True)
@@ -349,8 +377,8 @@ def orthogonal_complement(ambient_gram, vectors) -> Sublattice:
         normalized.append(vec if lead > 0 else tuple(-x for x in vec))
     basis = tuple(sorted(normalized))
     for b in basis:
-        for v in vecs:
-            assert sum(b[i] * gram[i][j] * v[j] for i in range(n) for j in range(n)) == 0
+        for row in pairing_rows:
+            assert sum(x * y for x, y in zip(b, row)) == 0
     return Sublattice(gram, basis)
 
 
@@ -370,10 +398,14 @@ def gram_matrix(sub: Sublattice):
 def gram_invariants(gram) -> LatticeInvariants:
     """Invariants of an explicit symmetric Gram matrix."""
     rows = tuple(tuple(map(int, r)) for r in gram)
-    rank = len(rows)
-    sig = signature(rows)
-    divisors = tuple(x for x in smith_diagonal(rows) if x > 1) if rank else ()
-    return LatticeInvariants(rank, determinant(rows), parity(rows), sig, divisors)
+    return _gram_invariants(rows, smith_diagonal(rows) if rows else ())
+
+
+def _gram_invariants(rows, diag):
+    """gram_invariants of integer rows whose Smith diagonal is known."""
+    det, sig = _sym_eliminate(rows)
+    divisors = tuple(x for x in diag if x > 1)
+    return LatticeInvariants(len(rows), det, parity(rows), sig, divisors)
 
 
 def lattice_invariants(sub: Sublattice) -> LatticeInvariants:

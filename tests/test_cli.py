@@ -1,7 +1,9 @@
 import json
+from unittest.mock import Mock
 
 import pytest
 
+from torusfill import fillings, lattice
 from torusfill.cli import main, parse_string_arg, run
 from torusfill.divisor import divisor_from_dict, dual_graph
 
@@ -124,6 +126,17 @@ class TestParabolicVerb:
         assert models["CP2"]["N"] == 5
         assert models["S2xS2"]["N"] == 4
 
+    def test_one_raw_search(self, capsys, monkeypatch):
+        spy = Mock(wraps=fillings.parabolic_solutions_raw)
+        monkeypatch.setattr(fillings, "parabolic_solutions_raw", spy)
+        status, out, _ = capture(capsys, ["parabolic", "--n", "2", "--json"])
+        assert status == 0 and spy.call_count == 1
+        report = json.loads(out)
+        assert report["raw_counts"] == {
+            model: len(entries) for model, entries in fillings.parabolic_solutions_raw(2).items()
+        }
+        assert len(report["solutions"]) == 2
+
     def test_n5_fails(self, capsys):
         status, out, err = capture(capsys, ["parabolic", "--n", "5"])
         assert status == 1
@@ -166,6 +179,21 @@ class TestLatticeVerb:
         assert report["smith_diagonal"] == [2, 2]
         assert report["cokernel"] == {"free_rank": 0, "torsion": [2, 2]}
         assert report["negative_definite"] is False
+
+    def test_one_smith_form(self, capsys, monkeypatch):
+        spy = Mock(wraps=lattice.smith_normal_form)
+        monkeypatch.setattr(lattice, "smith_normal_form", spy)
+        status, out, _ = capture(capsys, ["lattice", "--gram=-2,1,0;1,-2,3;0,3,4", "--json"])
+        assert status == 0 and spy.call_count == 1
+        report = json.loads(out)
+        gram = ((-2, 1, 0), (1, -2, 3), (0, 3, 4))
+        assert report["invariants"] == {
+            "rank": 3,
+            "det": lattice.determinant(gram),
+            "parity": "even",
+            "signature": list(lattice.signature(gram)),
+            "elementary_divisors": [30],
+        }
 
     def test_main_entry(self, capsys):
         assert main(["lattice", "--gram", "1,0;0,1", "--json"]) == 0

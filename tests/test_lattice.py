@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from torusfill.errors import DomainError
 from torusfill.lattice import (
     LatticeInvariants,
+    _sym_eliminate,
     Sublattice,
     cokernel_invariants,
     cycle_graph_gram,
@@ -178,6 +180,12 @@ class TestDefiniteness:
     def test_semidefinite_is_not_definite(self):
         assert not is_negative_definite(((-2, 2), (2, -2)))
 
+    def test_requires_symmetry(self):
+        with pytest.raises(DomainError):
+            is_negative_definite(((-2, 1), (0, -2)))
+        with pytest.raises(DomainError):
+            is_negative_definite(((-2, 1),))
+
 
 class TestRadical:
     def test_isotropic_line(self):
@@ -257,3 +265,125 @@ def test_signature_of_diagonal(entries):
         sum(1 for x in entries if x < 0),
         sum(1 for x in entries if x == 0),
     )
+
+
+# --- oracles for the symmetric elimination kernel ---------------------------
+
+
+def fraction_signature(gram):
+    """Rational congruence diagonalisation (the earlier signature)."""
+    a = [[Fraction(x) for x in row] for row in gram]
+    n = len(a)
+    pos = neg = zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                other = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+                if other is None:
+                    zero += 1
+                    continue
+                for j in range(n):
+                    a[k][j] += a[other][j]
+                for i in range(n):
+                    a[i][k] += a[i][other]
+        if a[k][k] > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f:
+                for j in range(n):
+                    a[i][j] -= f * a[k][j]
+                for j in range(n):
+                    a[j][i] -= f * a[j][k]
+    return (pos, neg, zero)
+
+
+def sylvester_negative_definite(gram):
+    """Leading-minor Sylvester test (the earlier is_negative_definite)."""
+    rows = [tuple(r) for r in gram]
+    for k in range(1, len(rows) + 1):
+        if determinant([row[:k] for row in rows[:k]]) * (-1) ** k <= 0:
+            return False
+    return True
+
+
+@st.composite
+def symmetric_matrices(draw, max_size=8):
+    n = draw(st.integers(0, max_size))
+    kind = draw(st.sampled_from(("dense", "hollow", "low_rank")))
+    if kind == "low_rank":
+        # B^T D B with B having fewer rows than columns has rank < n
+        k = draw(st.integers(0, max(n - 1, 0)))
+        b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+        d = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        return tuple(
+            tuple(sum(b[r][i] * d[r] * b[r][j] for r in range(k)) for j in range(n))
+            for i in range(n)
+        )
+    upper = draw(st.lists(st.integers(-5, 5), min_size=n * (n + 1) // 2,
+                          max_size=n * (n + 1) // 2))
+    g = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = next(it)
+    if kind == "hollow":
+        for i in range(n):
+            g[i][i] = 0
+    return tuple(map(tuple, g))
+
+
+class TestSymmetricElimination:
+    def test_empty(self):
+        assert _sym_eliminate(()) == (1, (0, 0, 0))
+        assert signature(()) == (0, 0, 0)
+        assert is_negative_definite(())
+
+    def test_hollow_needs_row_and_column_add(self):
+        # every diagonal entry vanishes, so only the add move finds a pivot
+        g = ((0, 1, 2), (1, 0, 3), (2, 3, 0))
+        assert _sym_eliminate(g) == (determinant(g), fraction_signature(g))
+
+    def test_radical_index_is_skipped(self):
+        g = ((0, 0, 0), (0, -2, 1), (0, 1, -2))
+        assert _sym_eliminate(g) == (0, (0, 2, 1))
+
+    def test_requires_symmetry(self):
+        with pytest.raises(DomainError):
+            signature(((0, 1), (2, 0)))
+        with pytest.raises(DomainError):
+            signature(((0, 1, 2), (1, 0, 3)))
+
+    @given(symmetric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracles(self, g):
+        det, sig = _sym_eliminate(g)
+        assert sig == fraction_signature(g)
+        assert det == determinant(g)
+        assert signature(g) == sig
+        assert is_negative_definite(g) == sylvester_negative_definite(g)
+        assert gram_invariants(g).det == det
+
+    @given(symmetric_matrices(), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_inertia_invariant_under_congruence(self, g, seed):
+        n = len(g)
+        if n == 0:
+            return
+        u = random_unimodular(random.Random(seed), n)
+        moved = mat_mul(mat_mul(u, g), tuple(zip(*u)))
+        assert _sym_eliminate(moved) == _sym_eliminate(g)
+
+    @given(symmetric_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_determinant_matches_sympy(self, g):
+        sympy = pytest.importorskip("sympy")
+        assert _sym_eliminate(g)[0] == sympy.Matrix(len(g), len(g), [x for r in g for x in r]).det()
