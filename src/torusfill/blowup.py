@@ -10,10 +10,14 @@ the exceptional sphere is inserted between them.  Starting from (0, 0),
 k blowups always produce a sequence of length k + 2 and sum 3k.
 
 A standard string d is *embeddable* when some blowup s of (0, 0) is
-dominated entrywise by its orientation reversal; every cyclic rotation
-of the target is tried, since the weight cycle it describes has no
-preferred starting vertex.  By convention (0, 0) counts as a blowup of
-itself, which is needed for reversals of length two.
+dominated entrywise by its orientation reversal.  The weight cycle the
+reversal describes has no preferred starting vertex, but no rotation of
+it needs to be tried: the blowups of (0, 0) are the quiddity sequences
+of triangulated polygons (Conway and Coxeter, Triangulated polygons and
+frieze patterns, Math. Gaz. 1973), a set closed under rotation, so a
+rotation of the reversal dominates a blowup exactly when the reversal
+itself dominates the rotated blowup.  By convention (0, 0) counts as a
+blowup of itself, which is needed for reversals of length two.
 """
 
 from __future__ import annotations
@@ -134,7 +138,13 @@ def iter_blowup_paths(length: int, target=None, limit: int = DEFAULT_LIMIT):
 
 def path_to(s):
     """One chain of blowups from (0, 0) ending at s, as a tuple of
-    1-based positions; raises if s is not a blowup of (0, 0)."""
+    1-based positions; raises if s is not a blowup of (0, 0).
+
+    Only interior entries equal to 1 are unwound.  That reaches every
+    blowup: a triangulation of four or more vertices has two
+    non-adjacent ears, so one of them is interior, and removing an ear
+    leaves a triangulation.
+    """
     entries = _as_seq(s)
     moves = len(entries) - 2
     if sum(entries) != 3 * moves:
@@ -168,7 +178,8 @@ class EmbeddingWitness:
 
     sequence: the witness blowup of (0, 0);
     target:   the rotated reversal it is dominated by;
-    rotation: how many places the reversal was rotated left.
+    rotation: how many places the reversal was rotated left (always 0
+              for the witnesses embeddability_witness finds).
     """
 
     sequence: tuple
@@ -179,20 +190,19 @@ class EmbeddingWitness:
 def embeddability_witness(d, limit: int = DEFAULT_LIMIT):
     """First witness making the standard string d embeddable, or None.
 
-    Rotations of the reversal are tried in order, and for each rotation
-    the candidate blowups of (0, 0) in sorted order, so the result is
-    deterministic.  Raises DomainError for non-standard d.
+    The candidate blowups of (0, 0) are tried in sorted order against
+    the unrotated reversal, so the result is deterministic and its
+    rotation is always 0 (see the module docstring for why no other
+    rotation can succeed where rotation 0 fails).  Raises DomainError
+    for non-standard d.
     """
     c = orientation_reversal(d)
     length = len(c)
     if length < 2:
         return None
-    candidates = sorted(enumerate_blowups(length, limit))
-    for k in range(length):
-        rotated = c[k:] + c[:k]
-        for s in candidates:
-            if dominates(s, rotated):
-                return EmbeddingWitness(s, rotated, k)
+    for s in sorted(enumerate_blowups(length, limit)):
+        if dominates(s, c):
+            return EmbeddingWitness(s, c, 0)
     return None
 
 

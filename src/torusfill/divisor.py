@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import mul
 
-from .blowup import EmbeddingWitness, dominates, embeddability_witness, path_to
+from .blowup import EmbeddingWitness, blowup_at, dominates, embeddability_witness, path_to
 from .errors import DomainError
 from .sl2z import Mat2, monodromy, orientation_reversal
 
@@ -158,12 +159,15 @@ class HClass:
     __rmul__ = __mul__
 
     def dot(self, other: "HClass") -> int:
+        # closed form of the Gram pairing: x0*y0 - sum xi*yi on CP2 and
+        # x0*y1 + x1*y0 - sum xi*yi on S2xS2, the sums over exceptional
+        # classes; both start from the full Euclidean sum
         _same_ambient(self, other)
-        g = self.ambient.gram()
-        n = self.ambient.rank
-        return sum(
-            self.coords[i] * g[i][j] * other.coords[j] for i in range(n) for j in range(n)
-        )
+        x, y = self.coords, other.coords
+        euclid = sum(map(mul, x, y))
+        if self.ambient.model == CP2:
+            return 2 * x[0] * y[0] - euclid
+        return (x[0] + x[1]) * (y[0] + y[1]) - euclid
 
     def extended(self, ambient: Ambient) -> "HClass":
         assert ambient.model == self.ambient.model and ambient.rank >= self.ambient.rank
@@ -415,8 +419,6 @@ def cycle_cap_from_path(weights, path) -> Divisor:
     div = _triangle()
     for move in path:
         div = blowup_node_total(div, move, move + 1)
-        from .blowup import blowup_at
-
         s = blowup_at(s, move)
     if len(s) != len(c) or not dominates(s, c):
         raise DomainError("sequence %s is not dominated by weights %s" % (s, c))

@@ -2,16 +2,18 @@
 
 Three computations live here.
 
-* The hyperbolic census: enumerate every chain of node blowups that
-  realizes the cycle cap of an embeddable string, deduplicate the
-  resulting homology configurations up to relabelling of exceptional
-  classes (and reflection of the cycle), and extract the Betti-number
-  bookkeeping shared by all fillings.
+* The hyperbolic census: build the cycle cap of an embeddable string
+  once for every distinct blowup endpoint dominated by its reversal
+  (the first chain of node blowups reaching it stands for all of
+  them), deduplicate the resulting homology configurations up to
+  relabelling of exceptional classes (and reflection of the cycle),
+  and extract the Betti-number bookkeeping shared by all fillings.
 
 * The parabolic systems: exhaustive integer search for the classes of
   the two spheres of the parabolic cap inside a blown-up plane or
-  product of spheres, with the minimality filters that cut the raw
-  solution set to the unique surviving class assignment per model.
+  product of spheres, pruned by the sum and sum-of-squares bounds, with
+  the minimality filters that cut the raw solution set to the unique
+  surviving class assignment per model.
 
 * The distinguished-filling family: two cycle configurations with the
   same dual graph whose orthogonal complements have different Gram
@@ -31,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .blowup import dominates, enumerate_blowups, iter_blowup_paths
+from .blowup import dominates, iter_blowup_paths
 from .divisor import (
     CP2,
     S2XS2,
@@ -124,15 +126,27 @@ def hyperbolic_filling_census(d, limit: int = 14) -> CensusResult:
     """Betti bookkeeping and configuration count for the fillings of the
     hyperbolic bundle of an embeddable standard string d.
 
-    The first rotation of the reversal that admits a witness fixes the
-    target weight cycle.  Every chain of node blowups whose endpoint is
-    dominated by the target realizes a cap; distinct chains can carry
-    genuinely different homology configurations, so the census
-    enumerates chains and deduplicates configurations.  One extra node
-    blowup away from the +1 sphere then produces the anticanonical
-    configuration whose square fixes the total blowup count
-    N = 9 - [total]^2, and the second Betti number of any filling is
-    N + 1 - (number of cap components before the extra blowup).
+    The target weight cycle is the reversal c itself (rotation 0).  The
+    blowups of (0, 0) are the quiddity sequences of triangulated
+    polygons, a set closed under rotation, so if some rotation of c
+    dominates a blowup then c dominates its rotated copy; no other
+    rotation is ever needed.
+
+    Every chain of node blowups whose endpoint is dominated by c
+    realizes a cap, and distinct endpoints can carry genuinely
+    different homology configurations, so the census deduplicates
+    configurations over endpoints.  The cap is built once per endpoint,
+    from the first chain that reaches it: node blowups at different
+    nodes commute up to relabelling of the exceptional classes, so all
+    chains to one endpoint give the same canonical configuration.  The
+    walk tries positions in increasing order at every depth, so for
+    each configuration the first chain realizing it still builds the
+    stored representative, exactly as if every chain were replayed.
+
+    One extra node blowup away from the +1 sphere then produces the
+    anticanonical configuration whose square fixes the total blowup
+    count N = 9 - [total]^2, and the second Betti number of any filling
+    is N + 1 - (number of cap components before the extra blowup).
     """
     if not is_standard_string(d):
         raise DomainError("census needs a standard string, got %s" % (tuple(d),))
@@ -144,24 +158,18 @@ def hyperbolic_filling_census(d, limit: int = 14) -> CensusResult:
         )
     if ell > limit:
         raise ResourceLimitError("reversal length %d exceeds limit %d" % (ell, limit))
-    rotation = None
-    for k in range(ell):
-        rotated = c[k:] + c[:k]
-        if any(dominates(s, rotated) for s in sorted(enumerate_blowups(ell, limit))):
-            rotation = k
-            target = rotated
-            break
-    if rotation is None:
-        raise DomainError("string %s is not embeddable" % (tuple(d),))
 
     configurations = {}
-    for path, endpoint in iter_blowup_paths(ell, target, limit):
-        if not dominates(endpoint, target):
+    seen = set()
+    for path, endpoint in iter_blowup_paths(ell, c, limit):
+        if endpoint in seen or not dominates(endpoint, c):
             continue
-        cap = cycle_cap_from_path(target, path)
+        seen.add(endpoint)
+        cap = cycle_cap_from_path(c, path)
         key = _canonical_configuration(cap)
         configurations.setdefault(key, cap)
-    assert configurations, "a witness exists, so at least one chain must realize the cap"
+    if not configurations:
+        raise DomainError("string %s is not embeddable" % (tuple(d),))
     reps = tuple(configurations[key] for key in sorted(configurations))
 
     ambients = {cap.ambient for cap in reps}
@@ -184,8 +192,8 @@ def hyperbolic_filling_census(d, limit: int = 14) -> CensusResult:
     result = CensusResult(
         string=tuple(d),
         reversal=c,
-        rotation=rotation,
-        target=target,
+        rotation=0,
+        target=c,
         invariants=invariants,
         configurations=reps,
         capped=capped,
@@ -241,7 +249,9 @@ _SEARCH_INDEX_MAX = 12  # number of exceptional classes tried
 # with c_i over all i for the product model), so each coefficient lies
 # in {0, 1, 2} in any solution with a, b_1 in the searched range, and
 # a - b_1 = 2 caps a once b_1 is capped.  The wider box is kept so the
-# raw, unfiltered solution set is visibly exhaustive.
+# raw, unfiltered solution set is visibly exhaustive; _multisets walks
+# it without visiting the branches whose sum or sum of squares is out
+# of reach, so it returns what a scan of every multiset would.
 
 
 @dataclass(frozen=True)
@@ -259,6 +269,24 @@ class ParabolicSolution:
     b2_rank_consistent: int
 
 
+def _multisets(count, total, squares, top=_SEARCH_COEFF_MAX):
+    """Non-increasing tuples of `count` entries in 0..top with the given
+    sum and sum of squares, in the order of
+    combinations_with_replacement(range(top, -1, -1), count).
+
+    A branch is cut as soon as its remaining sum or sum of squares is
+    negative or exceeds what `count` entries of at most `top` can reach.
+    """
+    if total < 0 or squares < 0 or total > count * top or squares > count * top * top:
+        return
+    if count == 0:
+        yield ()
+        return
+    for x in range(top, -1, -1):
+        for rest in _multisets(count - 1, total - x, squares - x * x, x):
+            yield (x,) + rest
+
+
 def _raw_cp2(n):
     """All (a, b_1, multiset of b_i for i > 1) solving the plane system
     n = a^2 - sum b_i^2,  3a - sum b_i = n + 2,  a - b_1 = 2,
@@ -267,13 +295,8 @@ def _raw_cp2(n):
     for b1 in range(_SEARCH_COEFF_MAX + 1):
         a = b1 + 2
         for count in range(_SEARCH_INDEX_MAX):
-            for rest in itertools.combinations_with_replacement(
-                range(_SEARCH_COEFF_MAX, -1, -1), count
-            ):
-                ssum = b1 + sum(rest)
-                ssq = b1 * b1 + sum(x * x for x in rest)
-                if 3 * a - ssum == n + 2 and a * a - ssq == n:
-                    out.append((a, b1, rest))
+            for rest in _multisets(count, 3 * a - n - 2 - b1, a * a - n - b1 * b1):
+                out.append((a, b1, rest))
     return out
 
 
@@ -284,13 +307,8 @@ def _raw_s2xs2(n):
     a = 2
     for b in range(_SEARCH_COEFF_MAX + 1):
         for count in range(_SEARCH_INDEX_MAX):
-            for cs in itertools.combinations_with_replacement(
-                range(_SEARCH_COEFF_MAX, -1, -1), count
-            ):
-                csum = sum(cs)
-                csq = sum(x * x for x in cs)
-                if 2 * a * b - csq == n and 2 * a + 2 * b - csum == n + 2:
-                    out.append((b, cs))
+            for cs in _multisets(count, 2 * a + 2 * b - n - 2, 2 * a * b - n):
+                out.append((b, cs))
     return out
 
 

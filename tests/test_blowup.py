@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from torusfill.blowup import (
     path_to,
 )
 from torusfill.errors import DomainError, ResourceLimitError
+from torusfill.sl2z import is_standard_string, orientation_reversal
 
 
 class TestMoves:
@@ -155,3 +157,30 @@ class TestEmbeddability:
     def test_propagates_domain_error(self):
         with pytest.raises(DomainError):
             embeddability_witness((2, 2))
+
+    def test_blowups_closed_under_rotation(self):
+        # the fact that lets the witness search skip every rotation but 0
+        for length in range(2, 10):
+            level = enumerate_blowups(length)
+            for s in level:
+                assert all(s[k:] + s[:k] in level for k in range(length))
+
+    def test_witness_matches_rotation_scan(self):
+        def scan(d):
+            c = orientation_reversal(d)
+            candidates = sorted(enumerate_blowups(len(c)))
+            for k in range(len(c)):
+                rotated = c[k:] + c[:k]
+                for s in candidates:
+                    if dominates(s, rotated):
+                        return EmbeddingWitness(s, rotated, k)
+            return None
+
+        found = 0
+        for k in range(1, 5):
+            for d in itertools.product(range(2, 7), repeat=k):
+                if is_standard_string(d) and 2 <= len(orientation_reversal(d)) <= 10:
+                    expected = scan(d)
+                    found += expected is not None
+                    assert embeddability_witness(d) == expected, d
+        assert found > 100

@@ -4,6 +4,7 @@ from unittest.mock import Mock
 import pytest
 
 from torusfill import fillings, lattice
+from torusfill.blowup import dominates, enumerate_blowups, iter_blowup_paths
 from torusfill.cli import main, parse_string_arg, run
 from torusfill.divisor import divisor_from_dict, dual_graph
 
@@ -115,6 +116,17 @@ class TestFillings:
     def test_not_embeddable(self, capsys):
         status, out, err = capture(capsys, ["fillings", "--d", "3"])
         assert status == 1 and "error" in err
+
+    def test_one_cap_per_endpoint(self, capsys, monkeypatch):
+        spy = Mock(wraps=fillings.cycle_cap_from_path)
+        monkeypatch.setattr(fillings, "cycle_cap_from_path", spy)
+        status, out, _ = capture(capsys, ["fillings", "--d", "3,3,3,3,3,3,3", "--json"])
+        assert status == 0
+        c = tuple(json.loads(out)["orientation_reversal"])
+        assert len(c) == 7
+        endpoints = {s for s in enumerate_blowups(7) if dominates(s, c)}
+        chains = sum(1 for _ in iter_blowup_paths(7, c))
+        assert spy.call_count == len(endpoints) < chains
 
 
 class TestParabolicVerb:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusfill.blowup import EmbeddingWitness
 from torusfill.divisor import (
@@ -50,6 +52,22 @@ class TestPairing:
     def test_ambient_mismatch(self):
         with pytest.raises(DomainError):
             pairing(Ambient(CP2, 1).h(), Ambient(CP2, 2).h())
+
+
+@st.composite
+def class_pairs(draw):
+    amb = Ambient(draw(st.sampled_from((CP2, S2XS2))), draw(st.integers(0, 10)))
+    coords = st.lists(st.integers(-40, 40), min_size=amb.rank, max_size=amb.rank).map(tuple)
+    return HClass(amb, draw(coords)), HClass(amb, draw(coords))
+
+
+@given(class_pairs())
+@settings(max_examples=300, deadline=None)
+def test_dot_matches_gram_sum(pair):
+    x, y = pair
+    g = x.ambient.gram()
+    n = x.ambient.rank
+    assert x.dot(y) == sum(x.coords[i] * g[i][j] * y.coords[j] for i in range(n) for j in range(n))
 
 
 class TestAdjunction:

@@ -1,8 +1,20 @@
+import itertools
+
 import pytest
 
-from torusfill.divisor import Ambient, CP2, divisor_to_dict, dual_graph, is_anticanonical
+from torusfill.blowup import dominates, enumerate_blowups, iter_blowup_paths
+from torusfill.divisor import (
+    Ambient,
+    CP2,
+    blowup_node_total,
+    cycle_cap_from_path,
+    divisor_to_dict,
+    dual_graph,
+    is_anticanonical,
+)
 from torusfill.errors import DomainError
 from torusfill.fillings import (
+    CensusResult,
     FillingInvariants,
     INCONCLUSIVE,
     VIRTUALLY_OVERTWISTED,
@@ -16,9 +28,15 @@ from torusfill.fillings import (
     parabolic_solutions_raw,
     tight_structure_census,
 )
-from torusfill.fillings import _canonical_configuration
+from torusfill.fillings import _canonical_configuration, _raw_cp2, _raw_s2xs2
 from torusfill.lattice import cokernel_invariants
-from torusfill.sl2z import monodromy, torus_bundle_h1
+from torusfill.sl2z import (
+    cyclic_canonical,
+    is_standard_string,
+    monodromy,
+    orientation_reversal,
+    torus_bundle_h1,
+)
 
 
 class TestCensus:
@@ -66,6 +84,75 @@ class TestCensus:
     def test_invalid_string(self):
         with pytest.raises(DomainError):
             hyperbolic_filling_census((2, 2))
+
+
+def _chain_census(d, limit=14):
+    """Reference census: scan every rotation of the reversal for a
+    dominated blowup, then build one cap per chain of node blowups."""
+    c = orientation_reversal(d)
+    ell = len(c)
+    rotation = None
+    for k in range(ell):
+        rotated = c[k:] + c[:k]
+        if any(dominates(s, rotated) for s in sorted(enumerate_blowups(ell, limit))):
+            rotation = k
+            target = rotated
+            break
+    if rotation is None:
+        raise DomainError("string %s is not embeddable" % (tuple(d),))
+    configurations = {}
+    for path, endpoint in iter_blowup_paths(ell, target, limit):
+        if not dominates(endpoint, target):
+            continue
+        cap = cycle_cap_from_path(target, path)
+        configurations.setdefault(_canonical_configuration(cap), cap)
+    reps = tuple(configurations[key] for key in sorted(configurations))
+    first = reps[0]
+    capped = blowup_node_total(first, 1, 2)
+    total = capped.total_class()
+    n_blowups = 9 - total.dot(total)
+    invariants = FillingInvariants(
+        n_blowups, 0, n_blowups + 1 - len(first), 0, True, len(reps)
+    )
+    return CensusResult(tuple(d), c, rotation, target, invariants, reps, capped)
+
+
+def _oracle_targets():
+    """Reversal targets of length 2..8: every cycle up to rotation with
+    entries 2..5 and sum at most 3 * length - 2, the constant cycles of
+    3s, 4s and 5s, and the reversal of (3, 3, 4, 3, 3)."""
+    for length in range(2, 9):
+        for c in itertools.product(range(2, 6), repeat=length):
+            if (is_standard_string(c) and cyclic_canonical(c) == c
+                    and sum(c) <= 3 * length - 2):
+                yield c
+        for k in (3, 4, 5):
+            yield (k,) * length
+    yield (3, 3, 3, 2, 3, 3)
+
+
+class TestCensusOracle:
+    def test_endpoint_census_matches_chain_census(self):
+        embeddable = 0
+        for c in _oracle_targets():
+            d = orientation_reversal(c)
+            try:
+                expected = _chain_census(d)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    hyperbolic_filling_census(d)
+                assert str(got.value) == str(exc)
+                continue
+            embeddable += 1
+            assert hyperbolic_filling_census(d) == expected, c
+        assert embeddable > 300
+
+    def test_several_chains_share_an_endpoint(self):
+        # the oracle comparison above is only meaningful if the chain
+        # census really visits endpoints more than once
+        c = orientation_reversal((3, 3, 4, 3, 3))
+        endpoints = [s for _, s in iter_blowup_paths(len(c), c)]
+        assert len(endpoints) > len(set(endpoints)) > 1
 
 
 class TestEuler:
@@ -139,6 +226,40 @@ class TestParabolic:
             parabolic_solutions(5)
         with pytest.raises(DomainError):
             parabolic_solutions_raw(6)
+
+
+def _brute_raw_cp2(n):
+    # every multiset of the search box, as the plane search once scanned it
+    out = []
+    for b1 in range(7):
+        a = b1 + 2
+        for count in range(12):
+            for rest in itertools.combinations_with_replacement(range(6, -1, -1), count):
+                ssum = b1 + sum(rest)
+                ssq = b1 * b1 + sum(x * x for x in rest)
+                if 3 * a - ssum == n + 2 and a * a - ssq == n:
+                    out.append((a, b1, rest))
+    return out
+
+
+def _brute_raw_s2xs2(n):
+    # every multiset of the search box, as the product search once scanned it
+    out = []
+    a = 2
+    for b in range(7):
+        for count in range(12):
+            for cs in itertools.combinations_with_replacement(range(6, -1, -1), count):
+                csum = sum(cs)
+                csq = sum(x * x for x in cs)
+                if 2 * a * b - csq == n and 2 * a + 2 * b - csum == n + 2:
+                    out.append((b, cs))
+    return out
+
+
+@pytest.mark.parametrize("n", range(-8, 5))
+def test_pruned_raw_search_matches_brute_force(n):
+    assert _raw_cp2(n) == _brute_raw_cp2(n)
+    assert _raw_s2xs2(n) == _brute_raw_s2xs2(n)
 
 
 class TestDistFill:
