@@ -140,30 +140,30 @@ def path_to(s):
     """One chain of blowups from (0, 0) ending at s, as a tuple of
     1-based positions; raises if s is not a blowup of (0, 0).
 
-    Only interior entries equal to 1 are unwound.  That reaches every
-    blowup: a triangulation of four or more vertices has two
-    non-adjacent ears, so one of them is interior, and removing an ear
-    leaves a triangulation.
+    The chain is found by one greedy pass of ear removal: each step
+    unwinds the first interior entry equal to 1 whose neighbours are
+    >= 1, until (0, 0) is left.  Choosing the first such entry never
+    loses a chain: in the quiddity sequence of a triangulation every
+    entry 1 is an ear, removing an ear leaves a triangulation, and a
+    triangulation of four or more vertices has two non-adjacent ears,
+    so one of them is interior.  A sequence that is not a blowup is
+    rejected after at most len(s) - 2 steps.
     """
     entries = _as_seq(s)
-    moves = len(entries) - 2
-    if sum(entries) != 3 * moves:
+    if sum(entries) != 3 * (len(entries) - 2):
         raise DomainError("%s is not a blowup of (0, 0)" % (entries,))
-
-    def unwind(t):
-        if t == (0, 0):
-            return ()
-        for j in range(1, len(t) - 1):
-            if t[j] == 1 and t[j - 1] >= 1 and t[j + 1] >= 1:
-                prev = t[:j - 1] + (t[j - 1] - 1, t[j + 1] - 1) + t[j + 2:]
-                tail = unwind(prev)
-                if tail is not None:
-                    return tail + (j,)
-        return None
-
-    path = unwind(entries)
-    if path is None:
-        raise DomainError("%s is not a blowup of (0, 0)" % (entries,))
+    moves = []
+    t = entries
+    while t != (0, 0):
+        j = next(
+            (j for j in range(1, len(t) - 1) if t[j] == 1 and t[j - 1] >= 1 and t[j + 1] >= 1),
+            None,
+        )
+        if j is None:
+            raise DomainError("%s is not a blowup of (0, 0)" % (entries,))
+        t = t[:j - 1] + (t[j - 1] - 1, t[j + 1] - 1) + t[j + 2:]
+        moves.append(j)
+    path = tuple(reversed(moves))
     check = (0, 0)
     for i in path:
         check = blowup_at(check, i)

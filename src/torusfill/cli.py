@@ -81,6 +81,14 @@ def _invariants_dict(inv: lat.LatticeInvariants):
     }
 
 
+def _witness_dict(witness):
+    return {
+        "sequence": list(witness.sequence),
+        "target": list(witness.target),
+        "rotation": witness.rotation,
+    }
+
+
 def _weights_str(weights):
     return "(" + ", ".join("%+d" % w for w in weights) + ")"
 
@@ -105,11 +113,7 @@ def _report_classify(args):
         witness = embeddability_witness(d, args.limit)
         report["embeddable"] = witness is not None
         if witness is not None:
-            report["witness"] = {
-                "sequence": list(witness.sequence),
-                "target": list(witness.target),
-                "rotation": witness.rotation,
-            }
+            report["witness"] = _witness_dict(witness)
     else:
         warnings.append("string is not standard; reversal and embeddability skipped")
     if mat.trace != 2:
@@ -151,11 +155,7 @@ def _report_embed(args):
         "witness": None,
     }
     if witness is not None:
-        report["witness"] = {
-            "sequence": list(witness.sequence),
-            "target": list(witness.target),
-            "rotation": witness.rotation,
-        }
+        report["witness"] = _witness_dict(witness)
     return report
 
 

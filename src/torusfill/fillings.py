@@ -318,15 +318,10 @@ def _reject_disjoint_exceptional(coeffs) -> bool:
     return any(x == 0 for x in coeffs)
 
 
-def _reject_split_exceptional_cp2(coeffs) -> bool:
-    # b_j = 2 for j > 1 makes h - e_1 - e_j an exceptional sphere
-    # disjoint from the configuration, again against minimality
-    return any(x == 2 for x in coeffs)
-
-
-def _reject_split_exceptional_s2xs2(coeffs) -> bool:
-    # c_i = 2 makes f - e_i an exceptional sphere disjoint from the
-    # configuration
+def _reject_split_exceptional(coeffs) -> bool:
+    # a coefficient 2 splits off an exceptional sphere disjoint from the
+    # configuration, again against minimality: h - e_1 - e_j for b_j = 2
+    # (j > 1) on the plane, f - e_i for c_i = 2 on the product
     return any(x == 2 for x in coeffs)
 
 
@@ -367,7 +362,7 @@ def _filter_parabolic(n: int, raw: dict) -> list:
     for a, b1, rest in raw[CP2]:
         if _reject_disjoint_exceptional(rest):
             continue
-        if _reject_split_exceptional_cp2(rest):
+        if _reject_split_exceptional(rest):
             continue
         if _reject_unit_count(rest, n):
             continue
@@ -397,7 +392,7 @@ def _filter_parabolic(n: int, raw: dict) -> list:
     for b, cs in raw[S2XS2]:
         if _reject_disjoint_exceptional(cs):
             continue
-        if _reject_split_exceptional_s2xs2(cs):
+        if _reject_split_exceptional(cs):
             continue
         if _reject_unit_count(cs, n):
             continue

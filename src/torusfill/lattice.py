@@ -5,16 +5,17 @@ are returned as tuples of tuples.  Everything is exact: Smith normal
 form with its unimodular transforms, saturated kernels, Gram
 determinants, parity and signature.  Determinant, signature and
 negative definiteness of a symmetric form come from one fraction-free
-symmetric (Bareiss) elimination pass over the integers.  Nothing here
-ever touches floating point, and unbounded integers rule out overflow.
+symmetric (Bareiss) elimination pass over the integers.  The radical of
+a degenerate form and a complement to it come from the same Smith
+transform, so no matrix is ever inverted.  Nothing here ever touches
+floating point, and unbounded integers rule out overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 
 __all__ = [
     "smith_normal_form",
@@ -31,7 +32,6 @@ __all__ = [
     "lattice_invariants",
     "gram_invariants",
     "radical_and_quotient",
-    "unimodular_inverse",
     "cycle_graph_gram",
     "tree_graph_gram",
     "diagonal_gram",
@@ -209,8 +209,15 @@ def integer_kernel(mat):
     rows = _copy(mat)
     if not rows:
         return ()
-    nc = len(rows[0])
     d, _, v = smith_normal_form(rows)
+    return _smith_kernel(rows, d, v)[1]
+
+
+def _smith_kernel(rows, d, v):
+    """(rank, kernel basis) of the matrix rows whose Smith form is
+    u * rows * v == d: the kernel is spanned by the columns of v past
+    the rank, each checked to be annihilated by rows."""
+    nc = len(v)
     rank = sum(1 for i in range(min(len(rows), nc)) if d[i][i])
     basis = []
     for j in range(rank, nc):
@@ -218,7 +225,7 @@ def integer_kernel(mat):
         for row in rows:
             assert sum(x * y for x, y in zip(row, vec)) == 0
         basis.append(vec)
-    return tuple(basis)
+    return rank, tuple(basis)
 
 
 def determinant(mat):
@@ -414,57 +421,29 @@ def lattice_invariants(sub: Sublattice) -> LatticeInvariants:
     return gram_invariants(gram_matrix(sub))
 
 
-def unimodular_inverse(mat):
-    """Exact inverse of a unimodular integer matrix."""
-    rows = _copy(mat)
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise DomainError("matrix is singular")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(x.denominator != 1 for x in vals):
-            raise DomainError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in vals))
-    return tuple(out)
-
-
 def radical_and_quotient(sub: Sublattice):
     """Radical rank of the induced form and the invariants of the
-    nondegenerate quotient form on (sublattice / radical)."""
+    nondegenerate quotient form on (sublattice / radical).
+
+    One Smith transform u * g * v == d of the Gram matrix g gives both
+    halves: the columns of v past the rank are the radical basis that
+    integer_kernel returns, and since v is unimodular its first rank
+    columns span a complement, on which g restricts to the quotient
+    form.  The quotient's elementary divisors are those of g: as a map
+    to the dual lattice, g is the projection onto sublattice / radical,
+    then the quotient form, then the inclusion of the quotient's dual
+    as a direct summand, so both cokernels have the same torsion.
+    """
     g = gram_matrix(sub)
-    rank = len(g)
-    radical = integer_kernel(g)
-    r = len(radical)
-    if r == 0:
-        return 0, gram_invariants(g)
-    d, _, v = smith_normal_form(radical)
-    for i in range(r):
-        assert d[i][i] == 1, "radical of an integral form is saturated"
-    vinv = unimodular_inverse(v)
-    complement = [vinv[i] for i in range(r, rank)]
-    quotient = tuple(
-        tuple(
-            sum(complement[x][i] * g[i][j] * complement[y][j]
-                for i in range(rank) for j in range(rank))
-            for y in range(len(complement))
-        )
-        for x in range(len(complement))
-    )
-    inv = gram_invariants(quotient)
+    d, _, v = smith_normal_form(g)
+    rank, radical = _smith_kernel(g, d, v)
+    diag = tuple(d[i][i] for i in range(rank))
+    if not radical:
+        return 0, _gram_invariants(g, diag)
+    complement = tuple(tuple(row[j] for row in v) for j in range(rank))
+    inv = _gram_invariants(gram_matrix(Sublattice(g, complement)), diag)
     assert inv.signature[2] == 0
-    return r, inv
+    return len(radical), inv
 
 
 # --- plumbing-graph Gram matrices ----------------------------------------

@@ -197,7 +197,11 @@ def standard_factorization(d):
 
 def is_standard_string(d) -> bool:
     """True iff every entry is >= 2 and some entry is >= 3."""
-    entries = _as_string(d)
+    return _is_standard(_as_string(d))
+
+
+def _is_standard(entries) -> bool:
+    # is_standard_string on a tuple that _as_string already validated
     return all(x >= 2 for x in entries) and any(x >= 3 for x in entries)
 
 
@@ -205,7 +209,7 @@ def _standard_blocks(d):
     """Split a standard string, rotated to lead with an entry >= 3, into
     blocks (n_i, m_i) meaning the entry n_i + 3 followed by m_i twos."""
     entries = _as_string(d)
-    if not is_standard_string(entries):
+    if not _is_standard(entries):
         raise DomainError(
             "string %s is not standard (needs all entries >= 2, some >= 3)" % (entries,)
         )

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from torusfill.blowup import (
     EmbeddingWitness,
+    _as_seq,
     blowup_at,
     dominates,
     embeddability_witness,
@@ -116,11 +118,69 @@ class TestPaths:
         with pytest.raises(DomainError):
             path_to((3, 0, 3))  # right sum, wrong shape
 
+    def test_path_to_rejects_non_blowup_quickly(self):
+        # backtracking over every ear order took seconds on this input
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            path_to((4, 2, 1, 4, 1, 4, 1, 7, 1, 3, 1, 4, 2, 1, 3, 3))
+        assert time.perf_counter() - start < 0.1
+
+    def test_path_to_matches_backtracking_on_blowups(self):
+        count = 0
+        for length in range(2, 11):
+            for s in enumerate_blowups(length):
+                assert path_to(s) == backtracking_path_to(s), s
+                count += 1
+        assert count == 2056
+
+    def test_path_to_matches_backtracking_on_right_sums(self):
+        # every sequence with entries 0..4 that passes the sum test
+        count = 0
+        for length in range(2, 9):
+            for s in itertools.product(range(5), repeat=length):
+                if sum(s) != 3 * (length - 2):
+                    continue
+                count += 1
+                assert outcome(path_to, s) == outcome(backtracking_path_to, s), s
+        assert count == 44070
+
     def test_pruned_paths(self):
         # with a target, only dominated endpoints survive
         target = (3, 2, 2)
         got = [s for _, s in iter_blowup_paths(3, target)]
         assert got == [(1, 1, 1)]
+
+
+def backtracking_path_to(s):
+    """The earlier path_to: depth-first search over every interior ear,
+    backtracking when a branch dead-ends."""
+    entries = _as_seq(s)
+    if sum(entries) != 3 * (len(entries) - 2):
+        raise DomainError("%s is not a blowup of (0, 0)" % (entries,))
+
+    def unwind(t):
+        if t == (0, 0):
+            return ()
+        for j in range(1, len(t) - 1):
+            if t[j] == 1 and t[j - 1] >= 1 and t[j + 1] >= 1:
+                prev = t[:j - 1] + (t[j - 1] - 1, t[j + 1] - 1) + t[j + 2:]
+                tail = unwind(prev)
+                if tail is not None:
+                    return tail + (j,)
+        return None
+
+    path = unwind(entries)
+    if path is None:
+        raise DomainError("%s is not a blowup of (0, 0)" % (entries,))
+    return path
+
+
+def outcome(fn, s):
+    """fn(s), or the message of the DomainError it raises."""
+    try:
+        return fn(s)
+    except DomainError as exc:
+        return "DomainError: %s" % exc
 
 
 class TestEmbeddability:

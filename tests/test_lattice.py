@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from unittest.mock import Mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusfill.errors import DomainError
@@ -25,8 +26,8 @@ from torusfill.lattice import (
     signature,
     smith_normal_form,
     tree_graph_gram,
-    unimodular_inverse,
 )
+from torusfill import lattice
 from torusfill.sl2z import monodromy, torus_bundle_h1
 
 
@@ -238,6 +239,7 @@ class TestGraphGrams:
                 assert torsion == torus_bundle_h1(monodromy(dd)).torsion
 
     def test_unimodular_inverse(self):
+        # the Gauss-Jordan oracle below, which the two-SNF radical oracle uses
         rng = random.Random(3)
         for _ in range(30):
             u = random_unimodular(rng, 4)
@@ -387,3 +389,100 @@ class TestSymmetricElimination:
     def test_determinant_matches_sympy(self, g):
         sympy = pytest.importorskip("sympy")
         assert _sym_eliminate(g)[0] == sympy.Matrix(len(g), len(g), [x for r in g for x in r]).det()
+
+
+# --- oracle for radical_and_quotient ----------------------------------------
+
+
+def unimodular_inverse(mat):
+    """Exact inverse of a unimodular integer matrix by Gauss-Jordan over
+    the rationals (the earlier library routine)."""
+    rows = [list(map(int, row)) for row in mat]
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if piv is None:
+            raise DomainError("matrix is singular")
+        aug[k], aug[piv] = aug[piv], aug[k]
+        inv = 1 / aug[k][k]
+        aug[k] = [x * inv for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k]:
+                f = aug[i][k]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
+    out = []
+    for row in aug:
+        vals = row[n:]
+        if any(x.denominator != 1 for x in vals):
+            raise DomainError("matrix is not unimodular")
+        out.append(tuple(int(x) for x in vals))
+    return tuple(out)
+
+
+def two_snf_radical_and_quotient(sub):
+    """The earlier radical_and_quotient: a second Smith form on the
+    radical basis, whose inverted transform supplies the complement."""
+    g = gram_matrix(sub)
+    rank = len(g)
+    radical = integer_kernel(g)
+    r = len(radical)
+    if r == 0:
+        return 0, gram_invariants(g)
+    d, _, v = smith_normal_form(radical)
+    for i in range(r):
+        assert d[i][i] == 1, "radical of an integral form is saturated"
+    vinv = unimodular_inverse(v)
+    complement = [vinv[i] for i in range(r, rank)]
+    quotient = tuple(
+        tuple(
+            sum(complement[x][i] * g[i][j] * complement[y][j]
+                for i in range(rank) for j in range(rank))
+            for y in range(len(complement))
+        )
+        for x in range(len(complement))
+    )
+    inv = gram_invariants(quotient)
+    assert inv.signature[2] == 0
+    return r, inv
+
+
+@st.composite
+def degenerate_sublattices(draw, max_size=6):
+    """Sublattices of a form B^T D B, often degenerate, spanned by
+    random vectors that may be dependent or absent."""
+    n = draw(st.integers(0, max_size))
+    k = draw(st.integers(0, n))
+    b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=k, max_size=k))
+    d = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    gram = tuple(
+        tuple(sum(b[r][i] * d[r] * b[r][j] for r in range(k)) for j in range(n))
+        for i in range(n)
+    )
+    basis = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=0, max_size=max_size))
+    return Sublattice(gram, tuple(basis))
+
+
+AFFINE_E8 = Sublattice(
+    tree_graph_gram([-2] * 9, [(i, i + 1) for i in range(7)] + [(5, 8)]),
+    tuple(tuple(int(i == j) for j in range(9)) for i in range(9)),
+)
+
+
+class TestRadicalOracle:
+    @given(degenerate_sublattices())
+    @example(AFFINE_E8)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_snf_oracle(self, sub):
+        assert radical_and_quotient(sub) == two_snf_radical_and_quotient(sub)
+
+    def test_one_smith_form(self, monkeypatch):
+        spy = Mock(wraps=lattice.smith_normal_form)
+        monkeypatch.setattr(lattice, "smith_normal_form", spy)
+        q = tree_graph_gram([-2] * 8, [(i, i + 1) for i in range(6)] + [(3, 7)])
+        full = tuple(tuple(int(i == j) for j in range(8)) for i in range(8))
+        rank, quotient = radical_and_quotient(Sublattice(q, full))
+        assert (rank, quotient.rank) == (1, 7)
+        assert spy.call_count == 1
