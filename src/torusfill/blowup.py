@@ -10,14 +10,15 @@ the exceptional sphere is inserted between them.  Starting from (0, 0),
 k blowups always produce a sequence of length k + 2 and sum 3k.
 
 A standard string d is *embeddable* when some blowup s of (0, 0) is
-dominated entrywise by its orientation reversal.  The weight cycle the
-reversal describes has no preferred starting vertex, but no rotation of
-it needs to be tried: the blowups of (0, 0) are the quiddity sequences
-of triangulated polygons (Conway and Coxeter, Triangulated polygons and
-frieze patterns, Math. Gaz. 1973), a set closed under rotation, so a
-rotation of the reversal dominates a blowup exactly when the reversal
-itself dominates the rotated blowup.  By convention (0, 0) counts as a
-blowup of itself, which is needed for reversals of length two.
+dominated entrywise by its orientation reversal.  The blowups of (0, 0)
+are the quiddity sequences of triangulated polygons (Conway and Coxeter,
+Triangulated polygons and frieze patterns, Math. Gaz. 1973), a set
+closed under rotation, so a rotation of the reversal dominates a blowup
+exactly when the reversal itself dominates the rotated blowup, and no
+other rotation of the weight cycle is tried.  The dominated blowups come
+from one pruned walk, dominated_blowups, that builds each sequence once.
+By convention (0, 0) counts as a blowup of itself, which is needed for
+reversals of length two.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "blowup_at",
     "dominates",
     "enumerate_blowups",
-    "iter_blowup_paths",
+    "dominated_blowups",
     "path_to",
     "EmbeddingWitness",
     "embeddability_witness",
@@ -52,6 +53,10 @@ def _as_seq(s):
     return entries
 
 
+def _blowup(s, i):
+    return s[:i - 1] + (s[i - 1] + 1, 1, s[i] + 1) + s[i + 1:]
+
+
 def blowup_at(s, i: int):
     """Blow up the sequence s at position i (1-based, 1 <= i <= len - 1)."""
     entries = _as_seq(s)
@@ -59,7 +64,7 @@ def blowup_at(s, i: int):
         raise DomainError(
             "blowup position %d out of range 1..%d" % (i, len(entries) - 1)
         )
-    return entries[:i - 1] + (entries[i - 1] + 1, 1, entries[i] + 1) + entries[i + 1:]
+    return _blowup(entries, i)
 
 
 def dominates(s, c) -> bool:
@@ -85,7 +90,7 @@ def enumerate_blowups(length: int, limit: int = DEFAULT_LIMIT):
         level = set()
         for s in previous:
             for i in range(1, len(s)):
-                level.add(blowup_at(s, i))
+                level.add(_blowup(s, i))
         _levels.append(frozenset(level))
     result = _levels[length - 2]
     for s in result:
@@ -107,31 +112,29 @@ def _embeds_entrywise(s, c) -> bool:
     return True
 
 
-def iter_blowup_paths(length: int, target=None, limit: int = DEFAULT_LIMIT):
-    """Yield (path, sequence) for every chain of length - 2 blowups from
-    (0, 0), the path recorded as the tuple of 1-based positions used.
-
-    With a target sequence, branches that can no longer be dominated by
-    it are pruned.  Deterministic: positions are tried in increasing
-    order at every depth.
-    """
-    if length < 2:
-        raise DomainError("length must be >= 2, got %d" % length)
-    if length > limit:
-        raise ResourceLimitError(
-            "path enumeration to length %d exceeds limit %d" % (length, limit)
-        )
-    goal = None if target is None else tuple(target)
+def dominated_blowups(c):
+    """Yield (path, s) once for each blowup s of (0, 0) dominated by c,
+    path being the lexicographically first chain of 1-based positions
+    to s.  The depth-first walk tries positions in increasing order,
+    prunes sequences no further blowups bring under c, and expands no
+    sequence twice: every prefix of a lexicographically first chain is
+    the first chain to its own sequence, so skipping revisits loses no
+    endpoint and keeps the order in which a walk over every chain first
+    reaches them."""
+    goal = tuple(c)
+    built = set()
 
     def walk(s, path):
-        if len(s) == length:
+        if len(s) == len(goal):
             yield path, s
             return
         for i in range(1, len(s)):
-            nxt = blowup_at(s, i)
-            if goal is not None and not _embeds_entrywise(nxt, goal):
+            nxt = _blowup(s, i)
+            if nxt in built:
                 continue
-            yield from walk(nxt, path + (i,))
+            built.add(nxt)
+            if _embeds_entrywise(nxt, goal):
+                yield from walk(nxt, path + (i,))
 
     yield from walk((0, 0), ())
 
@@ -190,20 +193,25 @@ class EmbeddingWitness:
 def embeddability_witness(d, limit: int = DEFAULT_LIMIT):
     """First witness making the standard string d embeddable, or None.
 
-    The candidate blowups of (0, 0) are tried in sorted order against
-    the unrotated reversal, so the result is deterministic and its
-    rotation is always 0 (see the module docstring for why no other
-    rotation can succeed where rotation 0 fails).  Raises DomainError
-    for non-standard d.
+    The witness is the lexicographically smallest of
+    dominated_blowups(reversal), so it is deterministic and its rotation
+    is always 0 (the module docstring says why no other rotation can
+    succeed where rotation 0 fails).  Raises DomainError for
+    non-standard d and ResourceLimitError past limit.
     """
     c = orientation_reversal(d)
     length = len(c)
     if length < 2:
         return None
-    for s in sorted(enumerate_blowups(length, limit)):
-        if dominates(s, c):
-            return EmbeddingWitness(s, c, 0)
-    return None
+    if length > limit:
+        raise ResourceLimitError(
+            "enumeration of length-%d sequences exceeds limit %d" % (length, limit)
+        )
+    w = min((s for _, s in dominated_blowups(c)), default=None)
+    if w is None:
+        return None
+    assert len(w) == length and sum(w) == 3 * (length - 2) and dominates(w, c)
+    return EmbeddingWitness(w, c, 0)
 
 
 def is_embeddable(d, limit: int = DEFAULT_LIMIT) -> bool:

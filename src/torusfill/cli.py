@@ -377,8 +377,9 @@ def _report_lattice(args):
     if rows and len(gram[0]) == rows and all(
         gram[i][j] == gram[j][i] for i in range(rows) for j in range(rows)
     ):
-        report["invariants"] = _invariants_dict(lat._gram_invariants(gram, diag))
-        report["negative_definite"] = lat.is_negative_definite(gram)
+        inv = lat._gram_invariants(gram, diag)
+        report["invariants"] = _invariants_dict(inv)
+        report["negative_definite"] = lat._negative_definite(inv.signature)
     return report
 
 

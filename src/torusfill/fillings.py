@@ -3,11 +3,11 @@
 Three computations live here.
 
 * The hyperbolic census: build the cycle cap of an embeddable string
-  once for every distinct blowup endpoint dominated by its reversal
-  (the first chain of node blowups reaching it stands for all of
-  them), deduplicate the resulting homology configurations up to
-  relabelling of exceptional classes (and reflection of the cycle),
-  and extract the Betti-number bookkeeping shared by all fillings.
+  once for each distinct blowup of (0, 0) its reversal dominates (one
+  pruned walk finds them all), deduplicate the resulting homology
+  configurations up to relabelling of exceptional classes (and
+  reflection of the cycle), and extract the Betti-number bookkeeping
+  shared by all fillings.
 
 * The parabolic systems: exhaustive integer search for the classes of
   the two spheres of the parabolic cap inside a blown-up plane or
@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .blowup import dominates, iter_blowup_paths
+from .blowup import dominated_blowups
 from .divisor import (
     CP2,
     S2XS2,
@@ -126,22 +126,18 @@ def hyperbolic_filling_census(d, limit: int = 14) -> CensusResult:
     """Betti bookkeeping and configuration count for the fillings of the
     hyperbolic bundle of an embeddable standard string d.
 
-    The target weight cycle is the reversal c itself (rotation 0).  The
-    blowups of (0, 0) are the quiddity sequences of triangulated
-    polygons, a set closed under rotation, so if some rotation of c
-    dominates a blowup then c dominates its rotated copy; no other
-    rotation is ever needed.
+    The target weight cycle is the reversal c itself (rotation 0); the
+    blowup module docstring says why no other rotation is needed.
 
-    Every chain of node blowups whose endpoint is dominated by c
-    realizes a cap, and distinct endpoints can carry genuinely
-    different homology configurations, so the census deduplicates
-    configurations over endpoints.  The cap is built once per endpoint,
-    from the first chain that reaches it: node blowups at different
-    nodes commute up to relabelling of the exceptional classes, so all
-    chains to one endpoint give the same canonical configuration.  The
-    walk tries positions in increasing order at every depth, so for
-    each configuration the first chain realizing it still builds the
-    stored representative, exactly as if every chain were replayed.
+    Distinct dominated endpoints can carry different homology
+    configurations, so the census builds one cap per endpoint of the
+    pruned walk dominated_blowups, from that endpoint's
+    lexicographically first chain, and deduplicates the configurations.
+    All chains to one endpoint give the same canonical configuration
+    (node blowups at different nodes commute up to relabelling of the
+    exceptional classes), and the walk yields endpoints in the order a
+    walk over every chain first reaches them, so each configuration
+    keeps the representative a chain-by-chain census would store.
 
     One extra node blowup away from the +1 sphere then produces the
     anticanonical configuration whose square fixes the total blowup
@@ -160,14 +156,9 @@ def hyperbolic_filling_census(d, limit: int = 14) -> CensusResult:
         raise ResourceLimitError("reversal length %d exceeds limit %d" % (ell, limit))
 
     configurations = {}
-    seen = set()
-    for path, endpoint in iter_blowup_paths(ell, c, limit):
-        if endpoint in seen or not dominates(endpoint, c):
-            continue
-        seen.add(endpoint)
+    for path, _ in dominated_blowups(c):
         cap = cycle_cap_from_path(c, path)
-        key = _canonical_configuration(cap)
-        configurations.setdefault(key, cap)
+        configurations.setdefault(_canonical_configuration(cap), cap)
     if not configurations:
         raise DomainError("string %s is not embeddable" % (tuple(d),))
     reps = tuple(configurations[key] for key in sorted(configurations))

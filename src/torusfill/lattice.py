@@ -331,7 +331,13 @@ def is_negative_definite(gram) -> bool:
     pivot of the symmetric elimination pass is negative, which is
     Sylvester's criterion on the leading minors of a congruent matrix.
     Raises DomainError on a non-square or non-symmetric matrix."""
-    _, (pos, _, zero) = _sym_eliminate(gram)
+    return _negative_definite(_sym_eliminate(gram)[1])
+
+
+def _negative_definite(sig) -> bool:
+    """Negative definiteness read off a (pos, neg, zero) inertia: no
+    positive and no zero part."""
+    pos, _, zero = sig
     return pos == zero == 0
 
 

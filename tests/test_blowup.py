@@ -4,15 +4,18 @@ import time
 
 import pytest
 
+from torusfill import blowup
 from torusfill.blowup import (
+    DEFAULT_LIMIT,
     EmbeddingWitness,
     _as_seq,
+    _embeds_entrywise,
     blowup_at,
+    dominated_blowups,
     dominates,
     embeddability_witness,
     enumerate_blowups,
     is_embeddable,
-    iter_blowup_paths,
     path_to,
 )
 from torusfill.errors import DomainError, ResourceLimitError
@@ -149,6 +152,79 @@ class TestPaths:
         target = (3, 2, 2)
         got = [s for _, s in iter_blowup_paths(3, target)]
         assert got == [(1, 1, 1)]
+        assert list(dominated_blowups(target)) == [((1,), (1, 1, 1))]
+
+
+def iter_blowup_paths(length, target=None, limit=DEFAULT_LIMIT):
+    """The earlier chain enumerator: yield (path, sequence) for every
+    chain of length - 2 blowups from (0, 0), positions tried in
+    increasing order, pruning branches the target can no longer
+    dominate."""
+    if length < 2:
+        raise DomainError("length must be >= 2, got %d" % length)
+    if length > limit:
+        raise ResourceLimitError(
+            "path enumeration to length %d exceeds limit %d" % (length, limit)
+        )
+    goal = None if target is None else tuple(target)
+
+    def walk(s, path):
+        if len(s) == length:
+            yield path, s
+            return
+        for i in range(1, len(s)):
+            nxt = blowup_at(s, i)
+            if goal is not None and not _embeds_entrywise(nxt, goal):
+                continue
+            yield from walk(nxt, path + (i,))
+
+    yield from walk((0, 0), ())
+
+
+def first_visits(c):
+    """(path, endpoint) of the chain oracle, keeping the first chain to
+    each endpoint that c dominates."""
+    seen = set()
+    out = []
+    for path, s in iter_blowup_paths(len(c), c):
+        if s not in seen and dominates(s, c):
+            seen.add(s)
+            out.append((path, s))
+    return out
+
+
+def grid_reversals(max_length):
+    """Reversals of length 2..max_length of the standard strings with
+    entries 2..6 and at most four entries."""
+    for k in range(1, 5):
+        for d in itertools.product(range(2, 7), repeat=k):
+            if is_standard_string(d):
+                c = orientation_reversal(d)
+                if 2 <= len(c) <= max_length:
+                    yield c
+
+
+class TestWalk:
+    def test_walk_matches_chain_oracle(self):
+        checked = 0
+        for c in grid_reversals(9):
+            assert list(dominated_blowups(c)) == first_visits(c), c
+            checked += 1
+        assert checked > 500
+
+    def test_unpruned_walk_yields_each_blowup_once(self):
+        # no blowup of length l has an entry above l - 2
+        for length in range(2, 10):
+            got = [s for _, s in dominated_blowups((length - 2,) * length)]
+            assert len(got) == len(set(got))
+            assert set(got) == enumerate_blowups(length)
+
+    def test_cold_witness_is_quick(self, monkeypatch):
+        # the sorted scan of the length-14 level took seconds cold
+        monkeypatch.setattr(blowup, "_levels", [frozenset({(0, 0)})])
+        start = time.perf_counter()
+        assert embeddability_witness((16,)) is None
+        assert time.perf_counter() - start < 0.5
 
 
 def backtracking_path_to(s):

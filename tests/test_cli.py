@@ -4,9 +4,11 @@ from unittest.mock import Mock
 import pytest
 
 from torusfill import fillings, lattice
-from torusfill.blowup import dominates, enumerate_blowups, iter_blowup_paths
+from torusfill.blowup import dominates, enumerate_blowups
 from torusfill.cli import main, parse_string_arg, run
 from torusfill.divisor import divisor_from_dict, dual_graph
+
+from test_blowup import iter_blowup_paths
 
 
 def capture(capsys, argv):
@@ -207,6 +209,29 @@ class TestLatticeVerb:
             "elementary_divisors": [30],
         }
 
+    def test_one_symmetric_elimination(self, capsys, monkeypatch):
+        spy = Mock(wraps=lattice._sym_eliminate)
+        monkeypatch.setattr(lattice, "_sym_eliminate", spy)
+        status, out, _ = capture(capsys, ["lattice", "--gram=-2,1;1,-2", "--json"])
+        assert status == 0 and spy.call_count == 1
+        report = json.loads(out)
+        assert report["invariants"]["signature"] == [0, 2, 0]
+        assert report["negative_definite"] is True
+
     def test_main_entry(self, capsys):
         assert main(["lattice", "--gram", "1,0;0,1", "--json"]) == 0
         capsys.readouterr()
+
+
+class TestResourceLimits:
+    # the reversal of (17,) has length 15, one past the default limit
+    @pytest.mark.parametrize("verb", ["embed", "classify", "cap"])
+    def test_witness_refused(self, capsys, verb):
+        status, out, err = capture(capsys, [verb, "--d", "17"])
+        assert status == 1 and out == ""
+        assert err == "error: enumeration of length-15 sequences exceeds limit 14\n"
+
+    def test_census_refused(self, capsys):
+        status, out, err = capture(capsys, ["fillings", "--d", "17"])
+        assert status == 1 and out == ""
+        assert err == "error: reversal length 15 exceeds limit 14\n"

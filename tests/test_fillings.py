@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from torusfill.blowup import dominates, enumerate_blowups, iter_blowup_paths
+from torusfill.blowup import dominates, enumerate_blowups
 from torusfill.divisor import (
     Ambient,
     CP2,
@@ -37,6 +37,8 @@ from torusfill.sl2z import (
     orientation_reversal,
     torus_bundle_h1,
 )
+
+from test_blowup import iter_blowup_paths
 
 
 class TestCensus:
