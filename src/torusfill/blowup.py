@@ -73,26 +73,19 @@ def dominates(s, c) -> bool:
     return len(s) == len(c) and all(x <= y for x, y in zip(s, c))
 
 
-_levels = [frozenset({(0, 0)})]
-
-
 def enumerate_blowups(length: int, limit: int = DEFAULT_LIMIT):
     """All distinct sequences reachable from (0, 0) by exactly
-    length - 2 blowups, as a frozenset.  Levels are cached."""
+    length - 2 blowups, as a frozenset.  These are the blowups the
+    pruned walk finds under the constant target (length - 2,) * length,
+    which dominates all of them: a vertex of a triangulated polygon
+    with length vertices lies in at most length - 2 triangles."""
     if length < 2:
         raise DomainError("length must be >= 2, got %d" % length)
     if length > limit:
         raise ResourceLimitError(
             "enumeration of length-%d sequences exceeds limit %d" % (length, limit)
         )
-    while len(_levels) < length - 1:
-        previous = _levels[-1]
-        level = set()
-        for s in previous:
-            for i in range(1, len(s)):
-                level.add(_blowup(s, i))
-        _levels.append(frozenset(level))
-    result = _levels[length - 2]
+    result = frozenset(s for _, s in dominated_blowups((length - 2,) * length))
     for s in result:
         assert sum(s) == 3 * (length - 2) and len(s) == length
     return result

@@ -23,8 +23,10 @@ Three computations live here.
 
 Contact-structure counting is integer bookkeeping: rotation-number
 tuples with one entry from {-(d_j - 2), ..., d_j - 2} in steps of two
-per index, and the double-cover test comparing the induced tuple on the
-doubled string with the two homogeneous patterns +-(d_j - 2).
+per index.  On a standard string every such tuple is virtually
+overtwisted: its pull-back to the doubled string never matches either
+homogeneous pattern +-(d_j - 2) of the universally tight structures
+(double_cover_obstruction gives the argument).
 """
 
 from __future__ import annotations
@@ -347,19 +349,23 @@ def parabolic_solutions(n: int) -> list:
     return _filter_parabolic(n, parabolic_solutions_raw(n))
 
 
+def _sole_survivor(entries, n: int):
+    """The one raw entry of parameter n whose coefficients, its last
+    item, pass all three minimality filters."""
+    survivors = []
+    for entry in entries:
+        coeffs = entry[-1]
+        if (_reject_disjoint_exceptional(coeffs) or _reject_split_exceptional(coeffs)
+                or _reject_unit_count(coeffs, n)):
+            continue
+        survivors.append(entry)
+    assert len(survivors) == 1, survivors
+    return survivors[0]
+
+
 def _filter_parabolic(n: int, raw: dict) -> list:
     """parabolic_solutions from the raw solutions of parameter n."""
-    survivors_cp2 = []
-    for a, b1, rest in raw[CP2]:
-        if _reject_disjoint_exceptional(rest):
-            continue
-        if _reject_split_exceptional(rest):
-            continue
-        if _reject_unit_count(rest, n):
-            continue
-        survivors_cp2.append((a, b1, rest))
-    assert len(survivors_cp2) == 1, survivors_cp2
-    a, b1, rest = survivors_cp2[0]
+    a, b1, rest = _sole_survivor(raw[CP2], n)
     assert (a, b1) == (2, 0) and all(x == 1 for x in rest) and len(rest) == 4 - n
     amb = Ambient(CP2, 5 - n)
     fiber = amb.h() - amb.e(1)
@@ -379,17 +385,7 @@ def _filter_parabolic(n: int, raw: dict) -> list:
     )
     assert fiber.dot(fiber) == 0 and conic.dot(conic) == n and fiber.dot(conic) == 2
 
-    survivors_s2 = []
-    for b, cs in raw[S2XS2]:
-        if _reject_disjoint_exceptional(cs):
-            continue
-        if _reject_split_exceptional(cs):
-            continue
-        if _reject_unit_count(cs, n):
-            continue
-        survivors_s2.append((b, cs))
-    assert len(survivors_s2) == 1, survivors_s2
-    b, cs = survivors_s2[0]
+    b, cs = _sole_survivor(raw[S2XS2], n)
     assert b == 1 and all(x == 1 for x in cs) and len(cs) == 4 - n
     amb2 = Ambient(S2XS2, 4 - n)
     fiber2 = amb2.f()
@@ -561,14 +557,16 @@ def tight_structure_census(d) -> ContactCensus:
 
 
 def double_cover_obstruction(d, r) -> str:
-    """Compare the pull-back of a rotation tuple to the double cover
-    against the two homogeneous patterns.
+    """Certify the structure of a valid rotation tuple r on the bundle
+    of the standard string d virtually overtwisted.
 
     The tuple (r_1, ..., r_m) induces (r_1, ..., r_m, -r_1, ..., -r_m)
     on the doubled string; the universally tight structures there pair
-    to epsilon * (d_j - 2) with one epsilon for all j.  A mismatch with
-    both patterns certifies the structure virtually overtwisted, which
-    happens for every valid tuple once some d_j >= 3.
+    to epsilon * (d_j - 2) with one epsilon for all j.  The induced
+    tuple matches such a pattern only if r_j = epsilon * (d_j - 2) =
+    -r_j at every j, which forces every d_j = 2, and a standard string
+    has some d_j >= 3.  So every valid tuple is virtually overtwisted,
+    and INCONCLUSIVE is never returned; it stays a schema value.
     """
     entries = tuple(d)
     if not is_standard_string(entries):
@@ -580,10 +578,4 @@ def double_cover_obstruction(d, r) -> str:
     for rj, dj in zip(tup, entries):
         if abs(rj) > dj - 2 or (rj - dj) % 2:
             raise DomainError("entry %d is not a rotation number for weight %d" % (rj, dj))
-    induced = tup + tuple(-x for x in tup)
-    doubled = entries + entries
-    plus = tuple(x - 2 for x in doubled)
-    minus = tuple(2 - x for x in doubled)
-    if induced != plus and induced != minus:
-        return VIRTUALLY_OVERTWISTED
-    return INCONCLUSIVE
+    return VIRTUALLY_OVERTWISTED

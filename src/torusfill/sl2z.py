@@ -72,9 +72,6 @@ class Mat2:
     def trace(self) -> int:
         return self.a + self.d
 
-    def rows(self):
-        return ((self.a, self.b), (self.c, self.d))
-
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
             self.a * other.a + self.b * other.c,
@@ -100,9 +97,6 @@ class Mat2:
             base = base * base
             n >>= 1
         return result
-
-    def conjugated_by(self, u: "Mat2") -> "Mat2":
-        return u * self * u.inverse()
 
     def __str__(self):
         return "[[%d, %d], [%d, %d]]" % (self.a, self.b, self.c, self.d)
@@ -205,46 +199,34 @@ def _is_standard(entries) -> bool:
     return all(x >= 2 for x in entries) and any(x >= 3 for x in entries)
 
 
-def _standard_blocks(d):
-    """Split a standard string, rotated to lead with an entry >= 3, into
-    blocks (n_i, m_i) meaning the entry n_i + 3 followed by m_i twos."""
-    entries = _as_string(d)
-    if not _is_standard(entries):
-        raise DomainError(
-            "string %s is not standard (needs all entries >= 2, some >= 3)" % (entries,)
-        )
-    start = next(i for i, x in enumerate(entries) if x >= 3)
-    rot = entries[start:] + entries[:start]
-    blocks = []
-    i = 0
-    while i < len(rot):
-        n = rot[i] - 3
-        i += 1
-        m = 0
-        while i < len(rot) and rot[i] == 2:
-            m += 1
-            i += 1
-        blocks.append((n, m))
-    return blocks
-
-
 def orientation_reversal(d):
     """The involution on standard strings swapping block data: the entry
     n_i + 3 followed by m_i twos contributes the entry m_i + 3 followed
     by n_i twos, and the blocks are emitted in the opposite cyclic
     direction.
 
-    The input is rotated so that its first entry is >= 3 before the
-    blocks are read; applying the map twice returns a cyclic rotation
-    of the original string.  The composed monodromies present the same
-    bundle with opposite orientations, so in particular the reversal
-    preserves the trace of the composition (reversing the block order
-    is what makes that identity hold; swapping in place does not).
+    The blocks are read cyclically: one starts at each entry >= 3 and
+    runs up to the next one, wrapping around the end of the string, so
+    m_i + 1 is the distance from the entry to the next entry >= 3.
+    The blocks are emitted from the last entry >= 3 back to the first;
+    applying the map twice returns a cyclic rotation of the original
+    string.  The composed monodromies present the same bundle with
+    opposite orientations, so in particular the reversal preserves the
+    trace of the composition (reversing the block order is what makes
+    that identity hold; swapping in place does not).
     """
+    entries = _as_string(d)
+    if not _is_standard(entries):
+        raise DomainError(
+            "string %s is not standard (needs all entries >= 2, some >= 3)" % (entries,)
+        )
+    starts = [i for i, x in enumerate(entries) if x >= 3]
     out = []
-    for n, m in reversed(_standard_blocks(d)):
-        out.append(m + 3)
-        out.extend([2] * n)
+    nxt = starts[0] + len(entries)
+    for i in reversed(starts):
+        out.append(nxt - i + 2)
+        out.extend([2] * (entries[i] - 3))
+        nxt = i
     return tuple(out)
 
 

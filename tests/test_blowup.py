@@ -1,10 +1,10 @@
+import functools
 import itertools
 import random
 import time
 
 import pytest
 
-from torusfill import blowup
 from torusfill.blowup import (
     DEFAULT_LIMIT,
     EmbeddingWitness,
@@ -20,6 +20,8 @@ from torusfill.blowup import (
 )
 from torusfill.errors import DomainError, ResourceLimitError
 from torusfill.sl2z import is_standard_string, orientation_reversal
+
+from test_acceptance import brute_force_blowups
 
 
 class TestMoves:
@@ -90,6 +92,17 @@ class TestEnumeration:
             enumerate_blowups(15)
         with pytest.raises(DomainError):
             enumerate_blowups(1)
+
+    def test_matches_level_oracle(self):
+        # criterion 07 checks lengths 2..10 against the same expander
+        assert enumerate_blowups(11) == level_blowups(11)
+
+
+@functools.lru_cache(maxsize=None)
+def level_blowups(length):
+    """The blowups of (0, 0) of the given length, from the plain
+    level-by-level expander of the acceptance suite."""
+    return frozenset(brute_force_blowups(length))
 
 
 class TestPaths:
@@ -217,11 +230,10 @@ class TestWalk:
         for length in range(2, 10):
             got = [s for _, s in dominated_blowups((length - 2,) * length)]
             assert len(got) == len(set(got))
-            assert set(got) == enumerate_blowups(length)
+            assert set(got) == level_blowups(length)
 
-    def test_cold_witness_is_quick(self, monkeypatch):
+    def test_cold_witness_is_quick(self):
         # the sorted scan of the length-14 level took seconds cold
-        monkeypatch.setattr(blowup, "_levels", [frozenset({(0, 0)})])
         start = time.perf_counter()
         assert embeddability_witness((16,)) is None
         assert time.perf_counter() - start < 0.5
@@ -297,14 +309,14 @@ class TestEmbeddability:
     def test_blowups_closed_under_rotation(self):
         # the fact that lets the witness search skip every rotation but 0
         for length in range(2, 10):
-            level = enumerate_blowups(length)
+            level = level_blowups(length)
             for s in level:
                 assert all(s[k:] + s[:k] in level for k in range(length))
 
     def test_witness_matches_rotation_scan(self):
         def scan(d):
             c = orientation_reversal(d)
-            candidates = sorted(enumerate_blowups(len(c)))
+            candidates = sorted(level_blowups(len(c)))
             for k in range(len(c)):
                 rotated = c[k:] + c[:k]
                 for s in candidates:

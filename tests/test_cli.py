@@ -4,11 +4,11 @@ from unittest.mock import Mock
 import pytest
 
 from torusfill import fillings, lattice
-from torusfill.blowup import dominates, enumerate_blowups
+from torusfill.blowup import dominates
 from torusfill.cli import main, parse_string_arg, run
 from torusfill.divisor import divisor_from_dict, dual_graph
 
-from test_blowup import iter_blowup_paths
+from test_blowup import iter_blowup_paths, level_blowups
 
 
 def capture(capsys, argv):
@@ -126,7 +126,7 @@ class TestFillings:
         assert status == 0
         c = tuple(json.loads(out)["orientation_reversal"])
         assert len(c) == 7
-        endpoints = {s for s in enumerate_blowups(7) if dominates(s, c)}
+        endpoints = {s for s in level_blowups(7) if dominates(s, c)}
         chains = sum(1 for _ in iter_blowup_paths(7, c))
         assert spy.call_count == len(endpoints) < chains
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from torusfill.blowup import dominates, enumerate_blowups
+from torusfill.blowup import dominates
 from torusfill.divisor import (
     Ambient,
     CP2,
@@ -38,7 +38,7 @@ from torusfill.sl2z import (
     torus_bundle_h1,
 )
 
-from test_blowup import iter_blowup_paths
+from test_blowup import iter_blowup_paths, level_blowups
 
 
 class TestCensus:
@@ -96,7 +96,7 @@ def _chain_census(d, limit=14):
     rotation = None
     for k in range(ell):
         rotated = c[k:] + c[:k]
-        if any(dominates(s, rotated) for s in sorted(enumerate_blowups(ell, limit))):
+        if any(dominates(s, rotated) for s in sorted(level_blowups(ell))):
             rotation = k
             target = rotated
             break

@@ -164,6 +164,62 @@ class TestOrientationReversal:
         # blocks: (3, 1), (0, 0), (2, 2) -> lengths 1+3, 1+0, 1+2
         assert len(orientation_reversal(d)) == 3 + (3 + 0 + 2)
 
+    def test_matches_block_list_oracle(self):
+        grid = itertools.chain(
+            (d for k in range(1, 7) for d in itertools.product(range(2, 8), repeat=k)),
+            itertools.product(range(2, 5), repeat=7),
+            [(), (3, 1), (0, 3), (-3,), (1,), (2,), (3, "x"), (3.0,), (None, 4), [4, 2]],
+        )
+        count = 0
+        for d in grid:
+            assert reversal_outcome(orientation_reversal, d) == reversal_outcome(
+                block_list_reversal, d
+            ), d
+            count += 1
+        assert count == 58183
+
+
+def block_list_reversal(d):
+    """The earlier orientation_reversal: rotate the string to lead with
+    an entry >= 3, split it into blocks (n_i, m_i) meaning the entry
+    n_i + 3 followed by m_i twos, and emit m_i + 3 followed by n_i twos
+    for the blocks in reverse order."""
+    entries = tuple(d)
+    if not entries:
+        raise DomainError("monodromy string must be nonempty")
+    for x in entries:
+        if not isinstance(x, int):
+            raise DomainError("monodromy string entries must be integers, got %r" % (x,))
+    if not (all(x >= 2 for x in entries) and any(x >= 3 for x in entries)):
+        raise DomainError(
+            "string %s is not standard (needs all entries >= 2, some >= 3)" % (entries,)
+        )
+    start = next(i for i, x in enumerate(entries) if x >= 3)
+    rot = entries[start:] + entries[:start]
+    blocks = []
+    i = 0
+    while i < len(rot):
+        n = rot[i] - 3
+        i += 1
+        m = 0
+        while i < len(rot) and rot[i] == 2:
+            m += 1
+            i += 1
+        blocks.append((n, m))
+    out = []
+    for n, m in reversed(blocks):
+        out.append(m + 3)
+        out.extend([2] * n)
+    return tuple(out)
+
+
+def reversal_outcome(fn, d):
+    """fn(d), or the message of the DomainError it raises."""
+    try:
+        return fn(d)
+    except DomainError as exc:
+        return "DomainError: %s" % exc
+
 
 class TestCyclicCanonical:
     def test_identity(self):
