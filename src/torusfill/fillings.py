@@ -236,8 +236,9 @@ def euler_consistency(cap: Divisor, fill: FillingInvariants) -> bool:
 
 _SEARCH_COEFF_MAX = 6  # per-coefficient bound
 _SEARCH_INDEX_MAX = 12  # number of exceptional classes tried
+_SEARCH_N_MIN = 5 - _SEARCH_INDEX_MAX  # the plane survivor uses 5 - n classes
 
-# The bounds are sufficient for n <= 4: the system forces
+# The bounds are sufficient for _SEARCH_N_MIN <= n <= 4: the system forces
 # sum_{i>1} (2 b_i - b_i^2) = 4 - n for the plane model (and the same
 # with c_i over all i for the product model), so each coefficient lies
 # in {0, 1, 2} in any solution with a, b_1 in the searched range, and
@@ -326,18 +327,26 @@ def _reject_unit_count(coeffs, n) -> bool:
 
 def parabolic_solutions_raw(n: int) -> dict:
     """Raw exhaustive solutions of the two parabolic systems, before the
-    minimality filters, keyed by model."""
+    minimality filters, keyed by model.  Below _SEARCH_N_MIN the plane
+    survivor has more exceptional classes than the box tries, so such n
+    are refused rather than searched."""
     if n > 4:
         raise DomainError(
             "no parabolic solutions for n > 4: the cap configuration does "
             "not embed in any closed model (n = %d)" % n
+        )
+    if n < _SEARCH_N_MIN:
+        raise DomainError(
+            "parabolic search supports %d <= n <= 4: the plane solution needs "
+            "%d exceptional classes, the search tries %d (n = %d)"
+            % (_SEARCH_N_MIN, 5 - n, _SEARCH_INDEX_MAX, n)
         )
     return {CP2: _raw_cp2(n), S2XS2: _raw_s2xs2(n)}
 
 
 def parabolic_solutions(n: int) -> list:
     """The unique filtered solution per model for the parabolic bundle
-    parameter n <= 4.
+    parameter n in _SEARCH_N_MIN..4 (that is, -7..4).
 
     The plane survivor is a = 2, b_1 = 0 with 4 - n unit coefficients:
     fiber class h - e_1 and conic class 2h - e_2 - ... - e_{5-n}.  The

@@ -7,8 +7,12 @@ determinants, parity and signature.  Determinant, signature and
 negative definiteness of a symmetric form come from one fraction-free
 symmetric (Bareiss) elimination pass over the integers.  The radical of
 a degenerate form and a complement to it come from the same Smith
-transform, so no matrix is ever inverted.  Nothing here ever touches
-floating point, and unbounded integers rule out overflow.
+transform, so no matrix is ever inverted.  Matrix products, Gram
+matrices, pairings and the re-check of every Smith transform multiply
+only nonzero entries, and the Smith elimination skips the rows and
+entries that a step leaves unchanged; the transforms are, bit for bit,
+those of the dense elimination.  Nothing here ever touches floating
+point, and unbounded integers rule out overflow.
 """
 
 from __future__ import annotations
@@ -54,15 +58,37 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _support(row):
+    """The (index, entry) pairs of the nonzero entries of a row."""
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def _row_times(support, mat_supports, width):
+    """The row vector with the given support times the matrix whose row
+    supports are given, as a list of the given width.  Only products of
+    two nonzero entries are formed."""
+    out = [0] * width
+    for k, x in support:
+        for j, y in mat_supports[k]:
+            out[j] += x * y
+    return out
+
+
 def _mat_mul(x, y):
     if not x or not y:
         return []
-    inner = len(y)
     cols = len(y[0])
-    return [
-        [sum(xrow[k] * y[k][j] for k in range(inner)) for j in range(cols)]
-        for xrow in x
-    ]
+    y_supports = [_support(row) for row in y]
+    return [_row_times(_support(xrow), y_supports, cols) for xrow in x]
+
+
+def _product_cost(x, y):
+    """Cost estimate of x * y: over the inner index k, the bit lengths
+    in column k of x times those in row k of y."""
+    return sum(
+        sum(map(int.bit_length, col)) * sum(map(int.bit_length, row))
+        for col, row in zip(zip(*x), y)
+    )
 
 
 def _xgcd(a, b):
@@ -84,12 +110,33 @@ def smith_normal_form(mat):
     unimodular.  Pivots are improved with Bezout row and column
     transforms, which keeps intermediate entries small.  The identity
     u * mat * v == d is re-verified by multiplication before returning.
+
+    The work skips zeros without changing a bit of d, u or v.  The
+    pivot is the first entry of least absolute value in row-major
+    order, so the search stops at the first unit.  A unit pivot divides
+    every entry, so no remainder is scanned for.  A column operation
+    visits only the rows of the working matrix and of v whose entries
+    it changes.  The re-check multiplies only nonzero entries, and
+    multiplies mat first by whichever of u and v makes the cheaper
+    product by a bit-length estimate; the product is exact either way.
     """
     a = _copy(mat)
     nr = len(a)
     nc = len(a[0]) if nr else 0
     u = _identity(nr)
     v = _identity(nc)
+
+    def find_pivot(t):
+        pivot, least = None, 0
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                x = abs(row[j])
+                if x and (not least or x < least):
+                    if x == 1:
+                        return i, j
+                    pivot, least = (i, j), x
+        return pivot
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -113,16 +160,13 @@ def smith_normal_form(mat):
         for rows in (a, v):
             for row in rows:
                 s, w = row[t], row[j]
-                row[t] = x * s + y * w
-                row[j] = -q * s + p * w
+                if s or w:
+                    row[t] = x * s + y * w
+                    row[j] = -q * s + p * w
 
     t = 0
     while t < min(nr, nc):
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        pivot = find_pivot(t)
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -139,32 +183,31 @@ def smith_normal_form(mat):
                     g, x, y = _xgcd(a[t][t], a[i][t])
                     combine_rows(t, i, x, y, a[t][t] // g, a[i][t] // g)
             column_dirtied = False
+            support = None  # rows of a and v with a nonzero entry in column t
             for j in range(t + 1, nc):
                 if a[t][j] == 0:
                     continue
                 if a[t][j] % a[t][t] == 0:
                     coef = -(a[t][j] // a[t][t])
-                    for rows in (a, v):
-                        for row in rows:
-                            row[j] += coef * row[t]
+                    if support is None:
+                        support = [row for rows in (a, v) for row in rows if row[t]]
+                    for row in support:
+                        row[j] += coef * row[t]
                 else:
                     g, x, y = _xgcd(a[t][t], a[t][j])
                     combine_cols(t, j, x, y, a[t][t] // g, a[t][j] // g)
                     column_dirtied = True
+                    support = None
             if not column_dirtied and all(a[i][t] == 0 for i in range(t + 1, nr)):
                 break
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
+        if abs(a[t][t]) != 1:
+            offender = next(
+                (i for i in range(t + 1, nr) if any(x % a[t][t] for x in a[i][t + 1:])), None
+            )
             if offender is not None:
-                break
-        if offender is not None:
-            a[t] = [s + w for s, w in zip(a[t], a[offender])]
-            u[t] = [s + w for s, w in zip(u[t], u[offender])]
-            continue
+                a[t] = [s + w for s, w in zip(a[t], a[offender])]
+                u[t] = [s + w for s, w in zip(u[t], u[offender])]
+                continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
@@ -173,7 +216,11 @@ def smith_normal_form(mat):
     d = tuple(tuple(row) for row in a)
     u = tuple(tuple(row) for row in u)
     v = tuple(tuple(row) for row in v)
-    check = _mat_mul(_mat_mul([list(r) for r in u], _copy(mat)), [list(r) for r in v])
+    m = _copy(mat)
+    if _product_cost(m, v) < _product_cost(u, m):
+        check = _mat_mul(u, _mat_mul(m, v))
+    else:
+        check = _mat_mul(_mat_mul(u, m), v)
     assert tuple(tuple(row) for row in check) == d, "smith form transform check failed"
     diag = [d[i][i] for i in range(min(nr, nc))]
     for x, y in zip(diag, diag[1:]):
@@ -222,8 +269,9 @@ def _smith_kernel(rows, d, v):
     basis = []
     for j in range(rank, nc):
         vec = tuple(v[i][j] for i in range(nc))
+        support = _support(vec)
         for row in rows:
-            assert sum(x * y for x, y in zip(row, vec)) == 0
+            assert sum(row[i] * x for i, x in support) == 0
         basis.append(vec)
     return rank, tuple(basis)
 
@@ -377,9 +425,8 @@ def orthogonal_complement(ambient_gram, vectors) -> Sublattice:
     for v in vecs:
         if len(v) != n:
             raise DomainError("vector length %d does not match ambient rank %d" % (len(v), n))
-    pairing_rows = [
-        tuple(sum(v[i] * gram[i][j] for i in range(n)) for j in range(n)) for v in vecs
-    ]
+    gram_supports = [_support(row) for row in gram]
+    pairing_rows = [tuple(_row_times(_support(v), gram_supports, n)) for v in vecs]
     if pairing_rows:
         kernel = integer_kernel(pairing_rows)
     else:
@@ -390,21 +437,21 @@ def orthogonal_complement(ambient_gram, vectors) -> Sublattice:
         normalized.append(vec if lead > 0 else tuple(-x for x in vec))
     basis = tuple(sorted(normalized))
     for b in basis:
+        support = _support(b)
         for row in pairing_rows:
-            assert sum(x * y for x, y in zip(b, row)) == 0
+            assert sum(row[i] * x for i, x in support) == 0
     return Sublattice(gram, basis)
 
 
 def gram_matrix(sub: Sublattice):
-    """Gram matrix of the sublattice basis under the ambient pairing."""
+    """Gram matrix of the sublattice basis under the ambient pairing,
+    multiplied over the nonzero entries of the basis and the ambient."""
     g = sub.ambient_gram
-    n = len(g)
-    paired = [
-        [sum(b[i] * g[i][j] for i in range(n)) for j in range(n)] for b in sub.basis
-    ]
+    g_supports = [_support(row) for row in g]
+    supports = [_support(b) for b in sub.basis]
+    paired = [_row_times(b, g_supports, len(g)) for b in supports]
     return tuple(
-        tuple(sum(prow[j] * c[j] for j in range(n)) for c in sub.basis)
-        for prow in paired
+        tuple(sum(prow[j] * x for j, x in c) for c in supports) for prow in paired
     )
 
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from unittest.mock import Mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusfill import fillings, lattice
 from torusfill.blowup import dominates
@@ -156,6 +160,21 @@ class TestParabolicVerb:
         assert status == 1
         assert "does not embed" in err
 
+    def test_smallest_searched_n(self, capsys):
+        status, out, _ = capture(capsys, ["parabolic", "--n=-7", "--json"])
+        assert status == 0
+        models = {sol["model"]: sol for sol in json.loads(out)["solutions"]}
+        assert (models["CP2"]["N"], models["S2xS2"]["N"]) == (12, 11)
+
+    @pytest.mark.parametrize("n", [-8, -50])
+    def test_below_search_box_refused(self, capsys, n):
+        status, out, err = capture(capsys, ["parabolic", "--n=%d" % n])
+        assert status == 1 and out == ""
+        assert err == (
+            "error: parabolic search supports -7 <= n <= 4: the plane solution "
+            "needs %d exceptional classes, the search tries 12 (n = %d)\n" % (5 - n, n)
+        )
+
 
 class TestDistFill:
     def test_golden(self, capsys):
@@ -235,3 +254,45 @@ class TestResourceLimits:
         status, out, err = capture(capsys, ["fillings", "--d", "17"])
         assert status == 1 and out == ""
         assert err == "error: reversal length 15 exceeds limit 14\n"
+
+
+# --- every verb on small random arguments -----------------------------------
+
+_TOKENS = st.one_of(st.integers(-1, 7).map(str), st.sampled_from(["", "x", " 3", "2.5", "+4"]))
+_D_TEXT = st.lists(_TOKENS, min_size=1, max_size=5).map(",".join)
+_N_TEXT = st.integers(-60, 60).map(str)
+_GRAM_TEXT = st.lists(
+    st.lists(st.integers(-5, 5).map(str), min_size=1, max_size=3).map(",".join),
+    min_size=1, max_size=3,
+).map(";".join)
+_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["classify", "embed", "fillings", "contact"]),
+              _D_TEXT.map(lambda d: ["--d=" + d])),
+    st.tuples(st.just("cap"), st.one_of(
+        _D_TEXT.map(lambda d: ["--d=" + d]),
+        _N_TEXT.map(lambda c: ["--c1=" + c]),
+        _N_TEXT.map(lambda n: ["--n=" + n]),
+        st.tuples(st.sampled_from(["left", "right"]), st.integers(-2, 2)).map(
+            lambda p: ["--elliptic", p[0], "--epsilon=%d" % p[1]]),
+        st.just([]),
+    )),
+    st.tuples(st.sampled_from(["parabolic", "distfill"]), _N_TEXT.map(lambda n: ["--n=" + n])),
+    st.tuples(st.just("lattice"), _GRAM_TEXT.map(lambda g: ["--gram=" + g])),
+)
+
+
+@given(_ARGV, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_every_verb(verb_args, as_json):
+    verb, args = verb_args
+    argv = [verb] + args + (["--json"] if as_json else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = run(argv)
+        except SystemExit as exc:  # argparse usage errors
+            status = exc.code
+    assert status in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if status:
+        assert out.getvalue() == "", argv

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from torusfill.errors import DomainError
 from torusfill.lattice import (
     LatticeInvariants,
+    _copy,
+    _identity,
+    _mat_mul,
     _sym_eliminate,
+    _xgcd,
     Sublattice,
     cokernel_invariants,
     cycle_graph_gram,
@@ -28,6 +32,7 @@ from torusfill.lattice import (
     tree_graph_gram,
 )
 from torusfill import lattice
+from torusfill.fillings import _family_configurations, distfill_family
 from torusfill.sl2z import monodromy, torus_bundle_h1
 
 
@@ -486,3 +491,263 @@ class TestRadicalOracle:
         rank, quotient = radical_and_quotient(Sublattice(q, full))
         assert (rank, quotient.rank) == (1, 7)
         assert spy.call_count == 1
+
+
+# --- dense oracles for the zero-skipping kernel ------------------------------
+
+
+def dense_mat_mul(x, y):
+    """The earlier _mat_mul: every product, zero or not."""
+    if not x or not y:
+        return []
+    inner = len(y)
+    cols = len(y[0])
+    return [
+        [sum(xrow[k] * y[k][j] for k in range(inner)) for j in range(cols)]
+        for xrow in x
+    ]
+
+
+def dense_smith_normal_form(mat):
+    """The earlier smith_normal_form: a full pivot search, an offender
+    scan after every pivot, column operations over every row and a
+    dense re-check."""
+    a = _copy(mat)
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    u = _identity(nr)
+    v = _identity(nc)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def combine_rows(t, i, x, y, p, q):
+        for rows in (a, u):
+            rt, ri = rows[t], rows[i]
+            rows[t] = [x * s + y * w for s, w in zip(rt, ri)]
+            rows[i] = [-q * s + p * w for s, w in zip(rt, ri)]
+
+    def combine_cols(t, j, x, y, p, q):
+        for rows in (a, v):
+            for row in rows:
+                s, w = row[t], row[j]
+                row[t] = x * s + y * w
+                row[j] = -q * s + p * w
+
+    t = 0
+    while t < min(nr, nc):
+        pivot = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            for i in range(t + 1, nr):
+                if a[i][t] == 0:
+                    continue
+                if a[i][t] % a[t][t] == 0:
+                    coef = -(a[i][t] // a[t][t])
+                    a[i] = [s + coef * w for s, w in zip(a[i], a[t])]
+                    u[i] = [s + coef * w for s, w in zip(u[i], u[t])]
+                else:
+                    g, x, y = _xgcd(a[t][t], a[i][t])
+                    combine_rows(t, i, x, y, a[t][t] // g, a[i][t] // g)
+            column_dirtied = False
+            for j in range(t + 1, nc):
+                if a[t][j] == 0:
+                    continue
+                if a[t][j] % a[t][t] == 0:
+                    coef = -(a[t][j] // a[t][t])
+                    for rows in (a, v):
+                        for row in rows:
+                            row[j] += coef * row[t]
+                else:
+                    g, x, y = _xgcd(a[t][t], a[t][j])
+                    combine_cols(t, j, x, y, a[t][t] // g, a[t][j] // g)
+                    column_dirtied = True
+            if not column_dirtied and all(a[i][t] == 0 for i in range(t + 1, nr)):
+                break
+        offender = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if a[i][j] % a[t][t]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            a[t] = [s + w for s, w in zip(a[t], a[offender])]
+            u[t] = [s + w for s, w in zip(u[t], u[offender])]
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    d = tuple(tuple(row) for row in a)
+    u = tuple(tuple(row) for row in u)
+    v = tuple(tuple(row) for row in v)
+    check = dense_mat_mul(dense_mat_mul([list(r) for r in u], _copy(mat)), [list(r) for r in v])
+    assert tuple(tuple(row) for row in check) == d, "smith form transform check failed"
+    return d, u, v
+
+
+def dense_gram_matrix(sub):
+    """The earlier gram_matrix: dense products with the ambient Gram."""
+    g = sub.ambient_gram
+    n = len(g)
+    paired = [
+        [sum(b[i] * g[i][j] for i in range(n)) for j in range(n)] for b in sub.basis
+    ]
+    return tuple(
+        tuple(sum(prow[j] * c[j] for j in range(n)) for c in sub.basis)
+        for prow in paired
+    )
+
+
+def dense_orthogonal_complement(ambient_gram, vectors):
+    """The earlier orthogonal_complement: dense pairing rows, the kernel
+    from the dense Smith transform and dense annihilation checks."""
+    gram = tuple(tuple(map(int, row)) for row in ambient_gram)
+    n = len(gram)
+    vecs = [tuple(map(int, v)) for v in vectors]
+    pairing_rows = [
+        tuple(sum(v[i] * gram[i][j] for i in range(n)) for j in range(n)) for v in vecs
+    ]
+    if pairing_rows:
+        d, _, v = dense_smith_normal_form(pairing_rows)
+        rank = sum(1 for i in range(min(len(pairing_rows), n)) if d[i][i])
+        kernel = [tuple(v[i][j] for i in range(n)) for j in range(rank, n)]
+    else:
+        kernel = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    normalized = []
+    for vec in kernel:
+        lead = next((x for x in vec if x), 1)
+        normalized.append(vec if lead > 0 else tuple(-x for x in vec))
+    basis = tuple(sorted(normalized))
+    for b in basis:
+        for row in pairing_rows:
+            assert sum(x * y for x, y in zip(b, row)) == 0
+    return Sublattice(gram, basis)
+
+
+@st.composite
+def smith_inputs(draw, max_size=10):
+    """Integer matrices up to max_size x max_size: dense, mostly zero, or
+    the intersection form of a plumbing graph (a tree plus a few extra,
+    possibly doubled, edges)."""
+    kind = draw(st.sampled_from(("dense", "sparse", "plumbing")))
+    if kind == "plumbing":
+        n = draw(st.integers(1, max_size))
+        q = [[0] * n for _ in range(n)]
+        for i in range(n):
+            q[i][i] = draw(st.integers(-6, 1))
+        tree = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+        extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+        for i, j in tree + extra:
+            if i != j:
+                sign = draw(st.sampled_from((1, -1)))
+                q[i][j] += sign
+                q[j][i] += sign
+        return q
+    nr = draw(st.integers(1, max_size))
+    nc = draw(st.integers(1, max_size))
+    if kind == "dense":
+        entry = st.integers(-20, 20)
+    else:
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9))
+    return draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+
+
+@st.composite
+def low_rank_matrices(draw, max_size=8):
+    """A * B with inner dimension r, so of rank at most r; often
+    non-square and rank-deficient."""
+    nr = draw(st.integers(1, max_size))
+    nc = draw(st.integers(1, max_size))
+    r = draw(st.integers(0, min(nr, nc)))
+    a = draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+                      min_size=nr, max_size=nr))
+    b = draw(st.lists(st.lists(st.integers(-4, 4), min_size=nc, max_size=nc),
+                      min_size=r, max_size=r))
+    return [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(nc)] for i in range(nr)]
+
+
+def distfill_oracle_path(n):
+    """Complement bases, Gram matrices and invariants of both family
+    configurations through the dense oracles."""
+    amb, first, second = _family_configurations(n)
+    gram = amb.gram()
+    out = []
+    for conf in (first, second):
+        sub = dense_orthogonal_complement(gram, [c.coords for c in conf])
+        g = dense_gram_matrix(sub)
+        d, _, _ = dense_smith_normal_form(g)
+        det, sig = _sym_eliminate(g)
+        divisors = tuple(d[i][i] for i in range(len(g)) if d[i][i] > 1)
+        out.append((sub.basis, g, LatticeInvariants(len(g), det, parity(g), sig, divisors)))
+    return out
+
+
+class TestZeroSkippingKernel:
+    @given(smith_inputs())
+    @example([[0, 0], [0, 0]])
+    @example([[4, 6], [6, 9]])
+    @settings(max_examples=400, deadline=None)
+    def test_smith_form_matches_dense_oracle(self, m):
+        assert smith_normal_form(m) == dense_smith_normal_form(m)
+
+    @given(smith_inputs(), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_mat_mul_matches_dense_oracle(self, m, seed):
+        rng = random.Random(seed)
+        left = random_unimodular(rng, len(m))
+        right = random_unimodular(rng, len(m[0]))
+        assert _mat_mul(left, m) == dense_mat_mul(left, m)
+        assert _mat_mul(m, right) == dense_mat_mul(m, right)
+        assert _mat_mul(m, tuple(zip(*m))) == dense_mat_mul(m, tuple(zip(*m)))
+
+    @given(degenerate_sublattices())
+    @example(AFFINE_E8)
+    @settings(max_examples=300, deadline=None)
+    def test_gram_matrix_matches_dense_oracle(self, sub):
+        assert gram_matrix(sub) == dense_gram_matrix(sub)
+
+    @given(degenerate_sublattices().filter(lambda sub: len(sub.ambient_gram) > 0))
+    @settings(max_examples=300, deadline=None)
+    def test_orthogonal_complement_matches_dense_oracle(self, sub):
+        assert (orthogonal_complement(sub.ambient_gram, sub.basis)
+                == dense_orthogonal_complement(sub.ambient_gram, sub.basis))
+
+    @pytest.mark.parametrize("n", range(61))
+    def test_distfill_matches_dense_oracle(self, n):
+        res = distfill_family(n, limit=60)
+        (basis1, g1, inv1), (basis2, g2, inv2) = distfill_oracle_path(n)
+        amb, first, second = _family_configurations(n)
+        for conf, basis, g in ((first, basis1, g1), (second, basis2, g2)):
+            sub = orthogonal_complement(amb.gram(), [c.coords for c in conf])
+            assert sub.basis == basis
+            assert gram_matrix(sub) == g
+        assert (res.invariants1, res.invariants2) == (inv1, inv2)
+        assert (res.det1, res.det2) == (inv1.det, inv2.det)
+
+
+@given(st.one_of(low_rank_matrices(), smith_inputs(max_size=8)))
+@settings(max_examples=200, deadline=None)
+def test_smith_form_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
+
+    expected = sympy_smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+    assert smith_normal_form(m)[0] == tuple(map(tuple, expected.tolist()))
