@@ -23,6 +23,7 @@ from .divisor import (
     cycle_monodromy,
     divisor_to_dict,
     dual_graph,
+    hyperbolic_cycle_cap,
     realize_cap,
 )
 from .errors import DomainError, ResourceLimitError
@@ -180,7 +181,7 @@ def _cap_from_args(args):
     if sum(chosen) != 1:
         raise DomainError("cap needs exactly one of --d, --c1, --n, --elliptic")
     if args.d is not None:
-        return realize_cap("hyperbolic-cycle", d=args.d)
+        return hyperbolic_cycle_cap(args.d, limit=args.limit)
     if args.c1 is not None:
         return realize_cap("hyperbolic-single", c1=args.c1)
     if args.n is not None:

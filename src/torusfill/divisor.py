@@ -15,6 +15,10 @@ and nodes produces the cycle-shaped configurations whose boundaries are
 the torus bundles of interest; each builder asserts that the resulting
 dual graph is exactly the advertised one and that the total class stays
 anticanonical.
+
+Blowups write each class once, in the grown ambient: every component
+is padded with one coordinate per new exceptional class, -1 where it
+passes through the blown-up point (its proper transform) and 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -122,9 +126,6 @@ class Ambient:
             coords = (2, 2) + (-1,) * self.blowups
         return HClass(self, coords)
 
-    def extended(self, extra: int) -> "Ambient":
-        return Ambient(self.model, self.blowups + extra)
-
 
 @dataclass(frozen=True)
 class HClass:
@@ -168,10 +169,6 @@ class HClass:
         if self.ambient.model == CP2:
             return 2 * x[0] * y[0] - euclid
         return (x[0] + x[1]) * (y[0] + y[1]) - euclid
-
-    def extended(self, ambient: Ambient) -> "HClass":
-        assert ambient.model == self.ambient.model and ambient.rank >= self.ambient.rank
-        return HClass(ambient, self.coords + (0,) * (ambient.rank - self.ambient.rank))
 
     def __str__(self):
         terms = []
@@ -231,15 +228,8 @@ class Divisor:
         return tuple(tuple(x.dot(y) for y in comps) for x in comps)
 
     def total_class(self) -> HClass:
-        total = self.ambient.zero()
-        for c in self.components:
-            total = total + c
-        return total
-
-    def replace(self, index: int, new_class: HClass) -> "Divisor":
-        comps = list(self.components)
-        comps[index] = new_class
-        return Divisor(self.ambient, tuple(comps), self.labels, self.marked)
+        columns = zip((0,) * self.ambient.rank, *(c.coords for c in self.components))
+        return HClass(self.ambient, tuple(map(sum, columns)))
 
 
 def dual_graph(div: Divisor):
@@ -261,10 +251,14 @@ def is_anticanonical(div: Divisor) -> bool:
     return div.total_class() == div.ambient.anticanonical()
 
 
-def _extend_divisor(div: Divisor, extra: int) -> Divisor:
-    amb = div.ambient.extended(extra)
-    comps = tuple(c.extended(amb) for c in div.components)
-    return Divisor(amb, comps, div.labels, div.marked)
+def _grow(div: Divisor, extra: int, lose):
+    """The ambient with `extra` more exceptional classes, and the
+    components padded into it: 0 on each new class, less one for each
+    time the component's index is listed in `lose`."""
+    amb = Ambient(div.ambient.model, div.ambient.blowups + extra)
+    return amb, [
+        HClass(amb, c.coords + (-lose.count(k),) * extra) for k, c in enumerate(div.components)
+    ]
 
 
 def blowup_generic(div: Divisor, index: int, times: int = 1) -> Divisor:
@@ -275,12 +269,8 @@ def blowup_generic(div: Divisor, index: int, times: int = 1) -> Divisor:
         raise DomainError("generic blowup needs times >= 1, got %d" % times)
     if not 0 <= index < len(div):
         raise DomainError("component index %d out of range" % index)
-    old_rank = div.ambient.blowups
-    out = _extend_divisor(div, times)
-    cls = out.components[index]
-    for k in range(times):
-        cls = cls - out.ambient.e(old_rank + 1 + k)
-    return out.replace(index, cls)
+    amb, comps = _grow(div, times, (index,))
+    return Divisor(amb, tuple(comps), div.labels, div.marked)
 
 
 def blowup_node_total(div: Divisor, i: int, j: int) -> Divisor:
@@ -294,19 +284,16 @@ def blowup_node_total(div: Divisor, i: int, j: int) -> Divisor:
         raise DomainError("components %d and %d are not cyclically consecutive" % (i, j))
     if div.components[i].dot(div.components[j]) < 1:
         raise DomainError("components %d and %d have no node to blow up" % (i, j))
-    out = _extend_divisor(div, 1)
-    e = out.ambient.e(out.ambient.blowups)
-    comps = list(out.components)
-    labels = list(out.labels)
-    comps[i] = comps[i] - e
-    comps[j] = comps[j] - e
+    amb, comps = _grow(div, 1, (i, j))
+    e = HClass(amb, (0,) * (amb.rank - 1) + (1,))
+    labels = list(div.labels)
     insert_at = i + 1 if j == i + 1 else n
     comps.insert(insert_at, e)
-    labels.insert(insert_at, "E%d" % out.ambient.blowups)
-    marked = out.marked
+    labels.insert(insert_at, "E%d" % amb.blowups)
+    marked = div.marked
     if marked is not None and insert_at <= marked:
         marked += 1
-    result = Divisor(out.ambient, tuple(comps), tuple(labels), marked)
+    result = Divisor(amb, tuple(comps), tuple(labels), marked)
     assert result.components[i if insert_at > i else i + 1].dot(e) == 1
     return result
 

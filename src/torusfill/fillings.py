@@ -98,29 +98,19 @@ class CensusResult:
 
 def _canonical_configuration(div: Divisor):
     """Configurations are compared up to relabelling of the exceptional
-    classes and reflection of the cycle fixing the marked component."""
-    n = div.ambient.blowups
+    classes and reflection of the cycle fixing the marked component.
+
+    Each ordering renumbers the classes in the order the components,
+    each read from e_1 up, first use them, unused ones last.  That is a
+    stable sort of the exceptional columns by the row of their first
+    nonzero entry, unused columns past the last row: ties keep index
+    order both ways.  The key is the smaller of the two variants."""
     coords = [c.coords for c in div.components]
     variants = []
-    for ordering in (coords, [coords[0]] + coords[1:][::-1]):
-        perm = {}
-        nxt = 1
-        for vec in ordering:
-            for pos in range(1, n + 1):
-                if vec[pos] and pos not in perm:
-                    perm[pos] = nxt
-                    nxt += 1
-        for pos in range(1, n + 1):
-            if pos not in perm:
-                perm[pos] = nxt
-                nxt += 1
-        relabeled = []
-        for vec in ordering:
-            out = [vec[0]] + [0] * n
-            for pos in range(1, n + 1):
-                out[perm[pos]] = vec[pos]
-            relabeled.append(tuple(out))
-        variants.append(tuple(relabeled))
+    for rows in (coords, [coords[0]] + coords[1:][::-1]):
+        h, *exceptional = zip(*rows)
+        exceptional.sort(key=lambda col: next((r for r, x in enumerate(col) if x), len(rows)))
+        variants.append(tuple(zip(h, *exceptional)))
     return min(variants)
 
 

@@ -75,9 +75,9 @@ def _row_times(support, mat_supports, width):
 
 
 def _mat_mul(x, y):
-    if not x or not y:
+    if not x:
         return []
-    cols = len(y[0])
+    cols = len(y[0]) if y else 0
     y_supports = [_support(row) for row in y]
     return [_row_times(_support(xrow), y_supports, cols) for xrow in x]
 

@@ -255,6 +255,21 @@ class TestResourceLimits:
         assert status == 1 and out == ""
         assert err == "error: reversal length 15 exceeds limit 14\n"
 
+    def test_cap_raised_limit_builds(self, capsys):
+        # the reversal of (3,)*15 is itself, one past the default limit
+        argv = ["cap", "--d", ",".join(["3"] * 15), "--limit", "20", "--json"]
+        status, out, err = capture(capsys, argv)
+        assert status == 0 and err == ""
+        weights = json.loads(out)["dual_graph"]["weights"]
+        assert weights == [1, -2] + [-3] * 13 + [-2]
+
+    def test_cap_lowered_limit_refused(self, capsys):
+        # the same refusal as embed with the same arguments
+        for verb in ("cap", "embed"):
+            status, out, err = capture(capsys, [verb, "--d", "3,3,3,3,3", "--limit", "2"])
+            assert status == 1 and out == ""
+            assert err == "error: enumeration of length-5 sequences exceeds limit 2\n"
+
 
 # --- every verb on small random arguments -----------------------------------
 
@@ -281,11 +296,16 @@ _ARGV = st.one_of(
 )
 
 
-@given(_ARGV, st.booleans())
+# every verb takes --limit; drawn at the default or below, so that no call
+# does more work than at the default
+_LIMIT = st.one_of(st.just([]), st.integers(0, 14).map(lambda k: ["--limit=%d" % k]))
+
+
+@given(_ARGV, _LIMIT, st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_fuzz_every_verb(verb_args, as_json):
+def test_fuzz_every_verb(verb_args, limit, as_json):
     verb, args = verb_args
-    argv = [verb] + args + (["--json"] if as_json else [])
+    argv = [verb] + args + limit + (["--json"] if as_json else [])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -323,3 +324,115 @@ class TestSerialization:
         b = Ambient(S2XS2, 1)
         div = Divisor(b, (b.f(), b.s() + b.s() + b.f() - b.e(1)), ("F", "C"), marked=None)
         assert divisor_from_json(divisor_to_json(div)) == div
+
+
+# --- the copy-then-subtract blowups, kept as oracles ------------------------
+
+
+def _extend_oracle(div, extra):
+    amb = Ambient(div.ambient.model, div.ambient.blowups + extra)
+    comps = tuple(HClass(amb, c.coords + (0,) * extra) for c in div.components)
+    return Divisor(amb, comps, div.labels, div.marked)
+
+
+def blowup_generic_oracle(div, index, times=1):
+    """The earlier blowup_generic: copy every class into the grown
+    ambient, then subtract the new exceptional classes one at a time."""
+    if times < 1:
+        raise DomainError("generic blowup needs times >= 1, got %d" % times)
+    if not 0 <= index < len(div):
+        raise DomainError("component index %d out of range" % index)
+    old_rank = div.ambient.blowups
+    out = _extend_oracle(div, times)
+    cls = out.components[index]
+    for k in range(times):
+        cls = cls - out.ambient.e(old_rank + 1 + k)
+    comps = list(out.components)
+    comps[index] = cls
+    return Divisor(out.ambient, tuple(comps), out.labels, out.marked)
+
+
+def blowup_node_total_oracle(div, i, j):
+    """The earlier blowup_node_total: copy every class into the grown
+    ambient, then subtract the new exceptional class from both sides."""
+    n = len(div)
+    if not (0 <= i < n and 0 <= j < n):
+        raise DomainError("component index out of range")
+    if j != (i + 1) % n:
+        raise DomainError("components %d and %d are not cyclically consecutive" % (i, j))
+    if div.components[i].dot(div.components[j]) < 1:
+        raise DomainError("components %d and %d have no node to blow up" % (i, j))
+    out = _extend_oracle(div, 1)
+    e = out.ambient.e(out.ambient.blowups)
+    comps = list(out.components)
+    labels = list(out.labels)
+    comps[i] = comps[i] - e
+    comps[j] = comps[j] - e
+    insert_at = i + 1 if j == i + 1 else n
+    comps.insert(insert_at, e)
+    labels.insert(insert_at, "E%d" % out.ambient.blowups)
+    marked = out.marked
+    if marked is not None and insert_at <= marked:
+        marked += 1
+    return Divisor(out.ambient, tuple(comps), tuple(labels), marked)
+
+
+def total_class_oracle(div):
+    total = div.ambient.zero()
+    for c in div.components:
+        total = total + c
+    return total
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except DomainError as exc:
+        return "DomainError: %s" % exc
+
+
+def _oracle_starts():
+    b = Ambient(S2XS2, 0)
+    square = Divisor(b, (b.s(), b.f(), b.s(), b.f()), ("S1", "F1", "S2", "F2"), marked=0)
+    # a cycle with one pair of neighbours that do not meet
+    a = Ambient(CP2, 2)
+    gap = Divisor(a, (a.e(1), a.e(2), a.h() - a.e(1) - a.e(2)), ("A", "B", "C"))
+    return (
+        [elliptic_cap(eps, side) for eps in (-1, 0, 1) for side in ("left", "right")]
+        + [parabolic_cap(n) for n in range(5)]
+        + [hyperbolic_single_cap(c1) for c1 in (3, 4, 7)]
+        + [hyperbolic_cycle_cap(d) for d in [(5,), (3, 3, 4, 3, 3), (4, 4), (2, 3, 3)]]
+        + [square, gap]
+    )
+
+
+class TestPaddedBlowupsMatchOracles:
+    def test_random_operation_sequences(self):
+        refusals = set()
+        built = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            for start in _oracle_starts():
+                div = start
+                for _ in range(12):
+                    n = len(div)
+                    if rng.random() < 0.4:
+                        args = (div, rng.randint(-1, n), rng.randint(0, 3))
+                        ops = (blowup_generic, blowup_generic_oracle)
+                    else:
+                        i = rng.randint(-1, n)
+                        j = (i + 1) % n if rng.random() < 0.75 else rng.randint(-1, n)
+                        args = (div, i, j)
+                        ops = (blowup_node_total, blowup_node_total_oracle)
+                    got, want = (_outcome(op, *args) for op in ops)
+                    assert got == want, (seed, start.labels, args[1:])
+                    if isinstance(got, Divisor):
+                        div = got
+                        built += 1
+                        assert div.total_class() == total_class_oracle(div)
+                        assert is_anticanonical(div) == is_anticanonical(start)
+                    else:
+                        refusals.add(re.sub(r"-?\d+", "#", got))
+        # every refusal of both operations occurs, and most steps build
+        assert len(refusals) == 5, refusals
+        assert built > 500

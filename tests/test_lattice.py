@@ -80,6 +80,16 @@ class TestSmithNormalForm:
             for a, b in zip(diag, diag[1:]):
                 assert a >= 0 and (a == 0 or b % a == 0)
 
+    def test_rows_without_columns(self):
+        # a map from the zero lattice: d keeps one empty row per row of
+        # the input, u is the identity on the rows and v is 0 x 0; the
+        # kernel is empty, the cokernel is free of rank the row count,
+        # and the complement in a rank-0 ambient is the zero lattice
+        assert smith_normal_form([[]]) == (((),), ((1,),), ())
+        assert integer_kernel([[], []]) == ()
+        assert cokernel_invariants([[], []]) == (2, ())
+        assert orthogonal_complement((), [()]) == Sublattice((), ())
+
 
 class TestCokernel:
     def test_zero_map(self):
