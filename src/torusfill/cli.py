@@ -397,74 +397,78 @@ def _text_lattice(report, out):
         print("negative definite: %s" % report["negative_definite"], file=out)
 
 
+def _args_d(p):
+    p.add_argument("--d", type=parse_string_arg, required=True,
+                   help="comma-separated monodromy string, e.g. 3,3,4,3,3")
+
+
+def _args_cap(p):
+    p.add_argument("--d", type=parse_string_arg, help="embeddable string (cycle cap)")
+    p.add_argument("--c1", type=int, help="single-vertex weight >= 3")
+    p.add_argument("--n", type=int, help="parabolic parameter n <= 4")
+    p.add_argument("--elliptic", choices=("left", "right"), help="elliptic cap side")
+    p.add_argument("--epsilon", type=int, help="elliptic parameter in {-1, 0, 1}")
+
+
+def _args_distfill(p):
+    p.add_argument("--n", type=int, help="family parameter N >= 0")
+    p.add_argument("--N", type=int, dest="N", help="alias of --n")
+
+
+def _args_lattice(p):
+    p.add_argument("--gram", type=_parse_gram, help="semicolon-separated rows, e.g. '0,2;2,4'")
+
+
+# verb -> (report, text, help, adder of the verb's own arguments); the adders
+# run at each build, so `type=` callables are looked up then, not at import
 _VERBS = {
-    "classify": (_report_classify, _text_classify),
-    "embed": (_report_embed, _text_embed),
-    "cap": (_report_cap, _text_cap),
-    "fillings": (_report_fillings, _text_fillings),
-    "parabolic": (_report_parabolic, _text_parabolic),
-    "distfill": (_report_distfill, _text_distfill),
-    "contact": (_report_contact, _text_contact),
-    "lattice": (_report_lattice, _text_lattice),
+    "classify": (_report_classify, _text_classify,
+                 "trace class, standard form, reversal, homology", _args_d),
+    "embed": (_report_embed, _text_embed, "embeddability witness search", _args_d),
+    "cap": (_report_cap, _text_cap, "build a cap configuration", _args_cap),
+    "fillings": (_report_fillings, _text_fillings, "hyperbolic filling census", _args_d),
+    "parabolic": (_report_parabolic, _text_parabolic, "parabolic class search",
+                  lambda p: p.add_argument("--n", type=int, required=True)),
+    "distfill": (_report_distfill, _text_distfill,
+                 "distinguished filling family determinants", _args_distfill),
+    "contact": (_report_contact, _text_contact, "tight contact structure counts", _args_d),
+    "lattice": (_report_lattice, _text_lattice, "invariants of an explicit Gram matrix",
+                _args_lattice),
 }
 
 
-def _build_parser():
+def _build_parser(verbs):
+    # a one-verb build names every verb in its usage line, so its usage
+    # errors read as the full build's; the full build keeps argparse's own
+    # metavar, which its "invalid choice" and "required" errors print
     parser = argparse.ArgumentParser(
         prog="torusfill",
         description="Exact monodromy classification and filling invariants "
                     "of torus bundles over the circle.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, need_d=False):
-        if need_d:
-            p.add_argument("--d", type=parse_string_arg, required=True,
-                           help="comma-separated monodromy string, e.g. 3,3,4,3,3")
+    sub = parser.add_subparsers(
+        dest="verb", required=True,
+        metavar=None if len(verbs) == len(_VERBS) else "{%s}" % ",".join(_VERBS))
+    for verb in verbs:
+        _, _, help_text, add_args = _VERBS[verb]
+        p = sub.add_parser(verb, help=help_text)
+        add_args(p)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--limit", type=int, default=14,
                        help="enumeration resource cap (default 14)")
         p.add_argument("--seed", type=int, default=None,
                        help="unused; all computations are deterministic")
-
-    common(sub.add_parser("classify", help="trace class, standard form, reversal, homology"),
-           need_d=True)
-    common(sub.add_parser("embed", help="embeddability witness search"), need_d=True)
-
-    cap = sub.add_parser("cap", help="build a cap configuration")
-    cap.add_argument("--d", type=parse_string_arg, help="embeddable string (cycle cap)")
-    cap.add_argument("--c1", type=int, help="single-vertex weight >= 3")
-    cap.add_argument("--n", type=int, help="parabolic parameter n <= 4")
-    cap.add_argument("--elliptic", choices=("left", "right"), help="elliptic cap side")
-    cap.add_argument("--epsilon", type=int, help="elliptic parameter in {-1, 0, 1}")
-    common(cap)
-
-    common(sub.add_parser("fillings", help="hyperbolic filling census"), need_d=True)
-
-    par = sub.add_parser("parabolic", help="parabolic class search")
-    par.add_argument("--n", type=int, required=True)
-    common(par)
-
-    dist = sub.add_parser("distfill", help="distinguished filling family determinants")
-    dist.add_argument("--n", type=int, help="family parameter N >= 0")
-    dist.add_argument("--N", type=int, dest="N", help="alias of --n")
-    common(dist)
-
-    common(sub.add_parser("contact", help="tight contact structure counts"), need_d=True)
-
-    latp = sub.add_parser("lattice", help="invariants of an explicit Gram matrix")
-    latp.add_argument("--gram", type=_parse_gram,
-                      help="semicolon-separated rows, e.g. '0,2;2,4'")
-    common(latp)
     return parser
 
 
 def run(argv=None):
     """Parse arguments, dispatch, and print the report; returns the
     process exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    build, render = _VERBS[args.verb]
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named verb's parser is built; anything else builds them all
+    verbs = argv[:1] if argv and argv[0] in _VERBS else _VERBS
+    args = _build_parser(verbs).parse_args(argv)
+    build, render = _VERBS[args.verb][:2]
     started = time.monotonic()
     try:
         report = build(args)

@@ -282,6 +282,8 @@ def blowup_node_total(div: Divisor, i: int, j: int) -> Divisor:
         raise DomainError("component index out of range")
     if j != (i + 1) % n:
         raise DomainError("components %d and %d are not cyclically consecutive" % (i, j))
+    if i == j:
+        raise DomainError("a node blowup needs two distinct components, got one")
     if div.components[i].dot(div.components[j]) < 1:
         raise DomainError("components %d and %d have no node to blow up" % (i, j))
     amb, comps = _grow(div, 1, (i, j))

@@ -75,7 +75,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FillingInvariants:
-    """Shared numerical invariants of the fillings of one bundle."""
+    """Shared numerical invariants of the fillings of one bundle.
+
+    `b1 = 0` and `c1_trivial` are the paper's theorem (i), and `b3 = 0`
+    holds for every 4-dimensional Stein domain (a 2-complex up to
+    homotopy): all three are stated, not computed.  `n_blowups`, `b2`
+    and `class_count_bound` come from the census.
+    """
 
     n_blowups: int
     b1: int
@@ -135,6 +141,9 @@ def hyperbolic_filling_census(d, limit: int = 14) -> CensusResult:
     anticanonical configuration whose square fixes the total blowup
     count N = 9 - [total]^2, and the second Betti number of any filling
     is N + 1 - (number of cap components before the extra blowup).
+    The reported b1 = b3 = 0 and c1_trivial are stated, not computed:
+    b1 = 0 and c1 = 0 are the paper's theorem (i), and b3 = 0 holds for
+    every Stein filling of a 3-manifold.
     """
     if not is_standard_string(d):
         raise DomainError("census needs a standard string, got %s" % (tuple(d),))

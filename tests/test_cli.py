@@ -1,15 +1,17 @@
+import argparse
 import contextlib
 import io
 import json
-from unittest.mock import Mock
+import sys
+from unittest.mock import Mock, patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusfill import fillings, lattice
+from torusfill import cli, fillings, lattice
 from torusfill.blowup import dominates
-from torusfill.cli import main, parse_string_arg, run
+from torusfill.cli import _parse_gram, main, parse_string_arg, run
 from torusfill.divisor import divisor_from_dict, dual_graph
 
 from test_blowup import iter_blowup_paths, level_blowups
@@ -242,6 +244,31 @@ class TestLatticeVerb:
         capsys.readouterr()
 
 
+class TestMainReadsSysArgv:
+    def test_verb_call(self, capsys, monkeypatch):
+        argv = ["embed", "--d", "5", "--json"]
+        monkeypatch.setattr(sys, "argv", ["torusfill"] + argv)
+        spy = Mock(wraps=cli._build_parser)
+        with patch.object(cli, "_build_parser", spy):
+            assert main() == 0
+        spy.assert_called_once_with(["embed"])  # the one-verb build
+        from_main = capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr() == from_main
+        assert json.loads(from_main.out)["embeddable"] is True
+
+    def test_help(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["torusfill", "-h"])
+        with pytest.raises(SystemExit) as from_main:
+            main()
+        main_out = capsys.readouterr()
+        with pytest.raises(SystemExit) as from_run:
+            run(["-h"])
+        assert from_main.value.code == from_run.value.code == 0
+        assert capsys.readouterr() == main_out
+        assert "{classify,embed,cap,fillings,parabolic,distfill,contact,lattice}" in main_out.out
+
+
 class TestResourceLimits:
     # the reversal of (17,) has length 15, one past the default limit
     @pytest.mark.parametrize("verb", ["embed", "classify", "cap"])
@@ -269,6 +296,125 @@ class TestResourceLimits:
             status, out, err = capture(capsys, [verb, "--d", "3,3,3,3,3", "--limit", "2"])
             assert status == 1 and out == ""
             assert err == "error: enumeration of length-5 sequences exceeds limit 2\n"
+
+
+# --- the one-verb parser against the full parser ------------------------------
+
+def oracle_parser():
+    """The earlier parser: every verb's subparser, built by hand."""
+    parser = argparse.ArgumentParser(
+        prog="torusfill",
+        description="Exact monodromy classification and filling invariants "
+                    "of torus bundles over the circle.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    def common(p, need_d=False):
+        if need_d:
+            p.add_argument("--d", type=parse_string_arg, required=True,
+                           help="comma-separated monodromy string, e.g. 3,3,4,3,3")
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.add_argument("--limit", type=int, default=14,
+                       help="enumeration resource cap (default 14)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="unused; all computations are deterministic")
+
+    common(sub.add_parser("classify", help="trace class, standard form, reversal, homology"),
+           need_d=True)
+    common(sub.add_parser("embed", help="embeddability witness search"), need_d=True)
+
+    cap = sub.add_parser("cap", help="build a cap configuration")
+    cap.add_argument("--d", type=parse_string_arg, help="embeddable string (cycle cap)")
+    cap.add_argument("--c1", type=int, help="single-vertex weight >= 3")
+    cap.add_argument("--n", type=int, help="parabolic parameter n <= 4")
+    cap.add_argument("--elliptic", choices=("left", "right"), help="elliptic cap side")
+    cap.add_argument("--epsilon", type=int, help="elliptic parameter in {-1, 0, 1}")
+    common(cap)
+
+    common(sub.add_parser("fillings", help="hyperbolic filling census"), need_d=True)
+
+    par = sub.add_parser("parabolic", help="parabolic class search")
+    par.add_argument("--n", type=int, required=True)
+    common(par)
+
+    dist = sub.add_parser("distfill", help="distinguished filling family determinants")
+    dist.add_argument("--n", type=int, help="family parameter N >= 0")
+    dist.add_argument("--N", type=int, dest="N", help="alias of --n")
+    common(dist)
+
+    common(sub.add_parser("contact", help="tight contact structure counts"), need_d=True)
+
+    latp = sub.add_parser("lattice", help="invariants of an explicit Gram matrix")
+    latp.add_argument("--gram", type=_parse_gram,
+                      help="semicolon-separated rows, e.g. '0,2;2,4'")
+    common(latp)
+    return parser
+
+
+ORACLE_PARSER = oracle_parser()  # parse_args leaves a parser unchanged
+VERBS = ("classify", "embed", "cap", "fillings", "parabolic", "distfill", "contact", "lattice")
+NEAR_MISSES = ("fill", "Classify", "classify ", "lat", "")
+
+
+def parse_outcome(parser, argv):
+    """The Namespace as a dict, or the usage exit's code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def run_outcome(argv):
+    """Run argv; returns (status, stdout, stderr, the verbs run built its
+    parser for, that parser)."""
+    build, built = cli._build_parser, []
+
+    def spy(verbs):
+        built.append((verbs, build(verbs)))
+        return built[-1][1]
+
+    out, err = io.StringIO(), io.StringIO()
+    with patch.object(cli, "_build_parser", spy), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = run(argv)
+        except SystemExit as exc:  # argparse usage errors
+            status = exc.code
+    (verbs, parser), = built
+    return status, out.getvalue(), err.getvalue(), tuple(verbs), parser
+
+
+def assert_parses_as_oracle(argv):
+    """run builds one verb's parser exactly when argv starts with a verb,
+    that parser parses argv as the full oracle parser does, and on a usage
+    error run exits with the oracle's code and output."""
+    status, out, err, verbs, parser = run_outcome(argv)
+    assert verbs == (tuple(argv[:1]) if argv[:1] and argv[0] in VERBS else VERBS), argv
+    want = parse_outcome(ORACLE_PARSER, argv)
+    assert parse_outcome(parser, argv) == want, argv
+    if isinstance(want, tuple):
+        assert (status, out, err) == want, argv
+    return status, out, err
+
+
+_PARSER_GRID = (
+    [[], ["-h"], ["--help"], ["frobnicate"], ["fill"], ["--json", "classify", "--d", "5"]]
+    + [[verb, "-h"] for verb in VERBS]
+    + [[verb] for verb in VERBS]
+    + [[verb, "--json", "junk"] for verb in VERBS]
+    + [[verb, "--limit", "q"] for verb in VERBS]
+    + [[verb, "--elliptic", "mid"] for verb in VERBS]
+    + [[verb, "--gram", "1,2;3"] for verb in VERBS]
+    + [["classify", "--d", "3,3", "extra"], ["cap", "--n", "2", "--elliptic", "mid"],
+       ["lattice", "--gram=1,2;3,4;5", "--json"], ["distfill", "--N", "3", "--seed", "1"]]
+)
+
+
+@pytest.mark.parametrize("argv", _PARSER_GRID, ids=" ".join)
+def test_parser_matches_oracle(argv):
+    assert_parses_as_oracle(argv)
 
 
 # --- every verb on small random arguments -----------------------------------
@@ -301,18 +447,20 @@ _ARGV = st.one_of(
 _LIMIT = st.one_of(st.just([]), st.integers(0, 14).map(lambda k: ["--limit=%d" % k]))
 
 
-@given(_ARGV, _LIMIT, st.booleans())
+# the shape of argv: a verb name from the real ones and near misses (None
+# keeps the drawn verb), a junk positional, and --json before the verb
+_NAME = st.one_of(st.none(), st.sampled_from(VERBS + NEAR_MISSES))
+_JUNK = st.one_of(st.just([]), st.sampled_from(["x", "3", "-"]).map(lambda t: [t]))
+
+
+@given(_ARGV, _LIMIT, st.booleans(), _NAME, _JUNK, st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_fuzz_every_verb(verb_args, limit, as_json):
+def test_fuzz_every_verb(verb_args, limit, as_json, name, junk, json_first):
     verb, args = verb_args
-    argv = [verb] + args + limit + (["--json"] if as_json else [])
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = run(argv)
-        except SystemExit as exc:  # argparse usage errors
-            status = exc.code
+    argv = ((["--json"] if json_first else []) + [verb if name is None else name]
+            + args + junk + limit + (["--json"] if as_json else []))
+    status, out, err = assert_parses_as_oracle(argv)
     assert status in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
     if status:
-        assert out.getvalue() == "", argv
+        assert out == "", argv

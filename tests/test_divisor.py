@@ -1,10 +1,12 @@
 import random
 import re
+from unittest.mock import Mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusfill import divisor
 from torusfill.blowup import EmbeddingWitness
 from torusfill.divisor import (
     CP2,
@@ -144,6 +146,16 @@ class TestBlowups:
         div = Divisor(a, (a.e(1), a.e(2)), ("A", "B"))
         with pytest.raises(DomainError):
             blowup_node_total(div, 0, 1)
+
+    def test_node_refused_on_one_component(self, monkeypatch):
+        # a nodal cubic is its own cyclic neighbour and pairs 9 with itself
+        a = Ambient(CP2, 0)
+        div = Divisor(a, (HClass(a, (3,)),), ("C",))
+        grow = Mock(wraps=divisor._grow)
+        monkeypatch.setattr(divisor, "_grow", grow)
+        with pytest.raises(DomainError, match="needs two distinct components"):
+            blowup_node_total(div, 0, 0)
+        assert grow.call_count == 0
 
     def test_blowups_preserve_untouched_pairings(self):
         cap = hyperbolic_cycle_cap((5,))
