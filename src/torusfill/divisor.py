@@ -19,6 +19,12 @@ anticanonical.
 Blowups write each class once, in the grown ambient: every component
 is padded with one coordinate per new exceptional class, -1 where it
 passes through the blown-up point (its proper transform) and 0 elsewhere.
+The cycle caps of the census skip the growing: the path of node
+blowups fixes the ambient in advance, N0 = len(path) + sum(c_i - s_i)
+exceptional classes for weights c and path endpoint s, with e_1, ...,
+e_len(path) taken by the node blowups in chain order and the rest by
+the generic blowups in component order, so cycle_cap_from_path writes
+every component once as a row of fixed width 1 + N0.
 """
 
 from __future__ import annotations
@@ -160,15 +166,8 @@ class HClass:
     __rmul__ = __mul__
 
     def dot(self, other: "HClass") -> int:
-        # closed form of the Gram pairing: x0*y0 - sum xi*yi on CP2 and
-        # x0*y1 + x1*y0 - sum xi*yi on S2xS2, the sums over exceptional
-        # classes; both start from the full Euclidean sum
         _same_ambient(self, other)
-        x, y = self.coords, other.coords
-        euclid = sum(map(mul, x, y))
-        if self.ambient.model == CP2:
-            return 2 * x[0] * y[0] - euclid
-        return (x[0] + x[1]) * (y[0] + y[1]) - euclid
+        return _pair(self.ambient.model, self.coords, other.coords)
 
     def __str__(self):
         terms = []
@@ -182,6 +181,16 @@ class HClass:
             else:
                 terms.append("%+d%s" % (c, label))
         return "".join(terms).lstrip("+") or "0"
+
+
+def _pair(model: str, x, y) -> int:
+    # closed form of the Gram pairing on coordinate tuples: x0*y0 - sum
+    # xi*yi on CP2 and x0*y1 + x1*y0 - sum xi*yi on S2xS2, the sums over
+    # exceptional classes; both start from the full Euclidean sum
+    euclid = sum(map(mul, x, y))
+    if model == CP2:
+        return 2 * x[0] * y[0] - euclid
+    return (x[0] + x[1]) * (y[0] + y[1]) - euclid
 
 
 def _same_ambient(x: HClass, y: HClass):
@@ -224,8 +233,15 @@ class Divisor:
         return len(self.components)
 
     def intersection_matrix(self):
-        comps = self.components
-        return tuple(tuple(x.dot(y) for y in comps) for x in comps)
+        # every component shares self.ambient (checked on construction),
+        # so the coordinates pair directly, each unordered pair once
+        model = self.ambient.model
+        rows = [c.coords for c in self.components]
+        q = [[0] * len(rows) for _ in rows]
+        for i, x in enumerate(rows):
+            for j in range(i, len(rows)):
+                q[i][j] = q[j][i] = _pair(model, x, rows[j])
+        return tuple(map(tuple, q))
 
     def total_class(self) -> HClass:
         columns = zip((0,) * self.ambient.rank, *(c.coords for c in self.components))
@@ -396,24 +412,49 @@ def cycle_cap_from_path(weights, path) -> Divisor:
 
     Starting from the triangle of lines with the first line marked, the
     moves of `path` (positions in the associated integer sequence) are
-    replayed as node blowups away from the marked line; each remaining
-    component i is then blown up generically c_i - s_i times, where s is
-    the endpoint of the path.  The result is a cycle with weights
+    node blowups away from the marked line; each remaining component i
+    is then blown up generically c_i - s_i times, where s is the
+    endpoint of the path.  The result is a cycle with weights
     (+1, 1 - c_1, -c_2, ..., -c_{l-1}, 1 - c_l).
+
+    The path is checked on the integer sequence first, so the ambient
+    is known before any class is built: the blown-up plane with
+    N0 = len(path) + sum(c_i - s_i) exceptional classes.  The k-th node
+    blowup, at position m, takes e_k: it subtracts e_k from components
+    m and m + 1 and inserts the class e_k (labelled E<k>) between them.
+    The generic blowups then take e_{len(path)+1}, ..., e_N0 in
+    component order.  Each component is written once, as a row of
+    1 + N0 coordinates.
     """
     c = tuple(int(x) for x in weights)
     if len(c) < 2:
         raise DomainError("cycle cap needs a weight string of length >= 2")
+    path = tuple(path)
     s = (0, 0)
-    div = _triangle()
     for move in path:
-        div = blowup_node_total(div, move, move + 1)
+        # a move blows up the node of components move and move + 1 of
+        # the len(s) + 1 (the marked line, then one per entry of s)
+        if not 0 <= move < len(s):
+            raise DomainError("component index out of range")
         s = blowup_at(s, move)
     if len(s) != len(c) or not dominates(s, c):
         raise DomainError("sequence %s is not dominated by weights %s" % (s, c))
-    for idx, (ci, si) in enumerate(zip(c, s)):
-        if ci - si > 0:
-            div = blowup_generic(div, idx + 1, ci - si)
+    n_blowups = len(path) + sum(c) - sum(s)
+    rows = [[1] + [0] * n_blowups for _ in range(3)]
+    labels = ["L1", "L2", "L3"]
+    for k, move in enumerate(path, 1):
+        rows[move][k] -= 1
+        rows[move + 1][k] -= 1
+        unit = [0] * (n_blowups + 1)
+        unit[k] = 1
+        rows.insert(move + 1, unit)
+        labels.insert(move + 1, "E%d" % k)
+    first = len(path) + 1
+    for row, ci, si in zip(rows[1:], c, s):
+        row[first:first + ci - si] = [-1] * (ci - si)
+        first += ci - si
+    amb = Ambient(CP2, n_blowups)
+    div = Divisor(amb, tuple(HClass(amb, tuple(row)) for row in rows), tuple(labels), 0)
     ell = len(c)
     target = (1,) + tuple(
         1 - c[k] if k in (0, ell - 1) else -c[k] for k in range(ell)

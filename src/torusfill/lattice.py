@@ -309,16 +309,31 @@ def _sym_eliminate(gram):
     minor of rows L + {i} and columns L + {j}, so dividing by the
     previous pivot (the minor of L) is exact.  A zero pivot a_kk is
     replaced by a symmetric swap with a nonzero trailing diagonal entry;
-    failing that, adding row and column i to row and column k makes
-    a_kk = 2 a_ik; failing that, index k pairs to zero with the whole
-    trailing block, so it counts towards the radical and is skipped
-    without becoming the previous pivot.  All three moves are integer
-    congruences of the trailing block, which keep the minors integral.
+    failing that, adding row o to row k, for the first o > k with
+    x = a_ok != 0, makes a_kk = x; failing that, index k pairs to zero
+    with the whole trailing block, so it counts towards the radical and
+    is skipped without becoming the previous pivot.
 
     By Jacobi's rule the pivot's diagonal entry in the congruent
     diagonal form has the sign of a_kk times the previous pivot.  Swaps
-    and row-and-column additions leave the determinant unchanged, so it
-    is the last pivot, or 0 when some index was skipped.
+    and the row addition leave the determinant unchanged, so it is the
+    last pivot, or 0 when some index was skipped.
+
+    The row addition needs no matching column addition: with it, the
+    steps at k and k + 1 pivot the hyperbolic plane spanned by k and o.
+    Before it the trailing block is symmetric, every trailing diagonal
+    entry is 0 and a_ik = 0 for k < i < o.  The step at k, with pivot x
+    over the previous pivot p, leaves a_oo = (0 * x - x * (x + 0)) / p =
+    -x^2 / p != 0 and a_ii = (0 * x - 0 * (a_ki + a_oi)) / p = 0 for
+    k < i < o, so the step at k + 1 pivots o, swapped in if o > k + 1.
+    The signs of x * p and -x^3 / p differ, so the two pivots count one
+    positive and one negative index, the inertia of the plane.  Every
+    entry is a minor of the matrix with row o added to row k.  Once k
+    and o are both processed, each such minor contains rows k and o, so
+    it equals the minor of the symmetric matrix before the addition, and
+    so does the new previous pivot -x^2 / p.  The trailing block is then
+    again the symmetric one described above, the divisions stay exact,
+    and no index is skipped at k + 1, so the determinant rule holds too.
     """
     a = _copy(gram)
     n = len(a)
@@ -342,12 +357,10 @@ def _sym_eliminate(gram):
                 if other is None:
                     zero += 1
                     continue
-                # remaining diagonal vanishes, so this makes a_kk = 2 a_ik != 0
+                # remaining diagonal vanishes, so this makes a_kk = a_ok != 0
                 row_k, row_o = a[k], a[other]
                 for j in range(k, n):
                     row_k[j] += row_o[j]
-                for row in a[k:]:
-                    row[k] += row[other]
         pivot = a[k][k]
         if (pivot > 0) == (prev > 0):
             pos += 1

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_fillings import _oracle_targets
 from torusfill import divisor
-from torusfill.blowup import EmbeddingWitness
+from torusfill.blowup import EmbeddingWitness, blowup_at, dominated_blowups, dominates
 from torusfill.divisor import (
     CP2,
     S2XS2,
@@ -17,6 +18,7 @@ from torusfill.divisor import (
     adjunction_genus,
     blowup_generic,
     blowup_node_total,
+    cycle_cap_from_path,
     cycle_monodromy,
     divisor_from_json,
     divisor_to_json,
@@ -389,6 +391,13 @@ def blowup_node_total_oracle(div, i, j):
     return Divisor(out.ambient, tuple(comps), tuple(labels), marked)
 
 
+def intersection_matrix_oracle(div):
+    """The earlier intersection_matrix: every ordered pair through
+    HClass.dot, with its ambient check."""
+    comps = div.components
+    return tuple(tuple(x.dot(y) for y in comps) for x in comps)
+
+
 def total_class_oracle(div):
     total = div.ambient.zero()
     for c in div.components:
@@ -442,9 +451,75 @@ class TestPaddedBlowupsMatchOracles:
                         div = got
                         built += 1
                         assert div.total_class() == total_class_oracle(div)
+                        assert div.intersection_matrix() == intersection_matrix_oracle(div)
                         assert is_anticanonical(div) == is_anticanonical(start)
                     else:
                         refusals.add(re.sub(r"-?\d+", "#", got))
         # every refusal of both operations occurs, and most steps build
         assert len(refusals) == 5, refusals
         assert built > 500
+
+    def test_intersection_matrix_on_every_cap_kind(self):
+        empty = Divisor(Ambient(CP2, 0), (), ())
+        assert empty.intersection_matrix() == intersection_matrix_oracle(empty) == ()
+        for start in _oracle_starts():
+            assert start.intersection_matrix() == intersection_matrix_oracle(start)
+
+
+# --- the replayed cycle cap, kept as an oracle ------------------------------
+
+
+def cycle_cap_from_path_oracle(weights, path):
+    """The earlier cycle_cap_from_path: replay the path as node blowups
+    of the triangle, growing the ambient one class per move, then blow
+    up each component generically, one Divisor per step."""
+    c = tuple(int(x) for x in weights)
+    if len(c) < 2:
+        raise DomainError("cycle cap needs a weight string of length >= 2")
+    s = (0, 0)
+    amb = Ambient(CP2, 0)
+    h = amb.h()
+    div = Divisor(amb, (h, h, h), ("L1", "L2", "L3"), marked=0)
+    for move in path:
+        div = blowup_node_total(div, move, move + 1)
+        s = blowup_at(s, move)
+    if len(s) != len(c) or not dominates(s, c):
+        raise DomainError("sequence %s is not dominated by weights %s" % (s, c))
+    for idx, (ci, si) in enumerate(zip(c, s)):
+        if ci - si > 0:
+            div = blowup_generic(div, idx + 1, ci - si)
+    return div
+
+
+class TestCycleCapMatchesOracle:
+    def test_every_dominated_endpoint(self):
+        caps = 0
+        for c in _oracle_targets():
+            for path, _ in dominated_blowups(c):
+                want = cycle_cap_from_path_oracle(c, path)
+                assert cycle_cap_from_path(c, path) == want, (c, path)
+                caps += 1
+        assert caps > 900
+
+    @pytest.mark.parametrize(
+        "weights, path",
+        [
+            ((3, 3, 3), (0,)),  # move 0: blowup_at's position message
+            ((3, 3, 3), (1, 0)),
+            ((3, 3, 3), (-1,)),  # negative move
+            ((3, 3, 3), (2,)),  # move >= len(s)
+            ((3, 3, 3, 3), (1, 3)),
+            ((3, 3, 3, 3), (1, 4, 0)),  # the first bad move decides
+            ((2, 0, 2), (1,)),  # endpoint (1, 1, 1) not dominated
+            ((3, 3, 3), (1, 1)),  # too long: a length-4 endpoint
+            ((3, 3, 3), ()),  # too short
+            ((5,), ()),  # one-entry weight string
+            ((5,), (1,)),
+        ],
+    )
+    def test_refusals_match(self, weights, path):
+        with pytest.raises(DomainError) as want:
+            cycle_cap_from_path_oracle(weights, path)
+        with pytest.raises(DomainError) as got:
+            cycle_cap_from_path(weights, path)
+        assert str(got.value) == str(want.value)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from unittest.mock import Mock
@@ -368,6 +369,18 @@ class TestSymmetricElimination:
         # every diagonal entry vanishes, so only the add move finds a pivot
         g = ((0, 1, 2), (1, 0, 3), (2, 3, 0))
         assert _sym_eliminate(g) == (determinant(g), fraction_signature(g))
+
+    def test_row_add_pivots_a_hyperbolic_plane(self):
+        # every hollow 4x4 matrix with entries -1..1 and 5x5 with 0..1:
+        # the add move meets o = k + 1, o > k + 1 (a swap brings o next),
+        # repeated adds and radical indices
+        for n, values in ((4, (-1, 0, 1)), (5, (0, 1))):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for entries in itertools.product(values, repeat=len(pairs)):
+                g = [[0] * n for _ in range(n)]
+                for (i, j), x in zip(pairs, entries):
+                    g[i][j] = g[j][i] = x
+                assert _sym_eliminate(g) == (determinant(g), fraction_signature(g)), g
 
     def test_radical_index_is_skipped(self):
         g = ((0, 0, 0), (0, -2, 1), (0, 1, -2))
