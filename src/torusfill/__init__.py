@@ -14,8 +14,8 @@ Modules:
 * ``divisor``: homology-class models of spherical divisor caps in
   blowups of the plane, their dual graphs and boundary monodromies.
 * ``fillings``: filling census, parabolic class search, the
-  distinguished-filling determinant family, and contact structure
-  counting.
+  distinguished-filling determinant family, complement invariants of
+  configurations, and contact structure counting.
 * ``cli``: the ``torusfill`` command.
 """
 
@@ -70,6 +70,8 @@ from .fillings import (
     euler_consistency,
     parabolic_solutions,
     distfill_family,
+    complement_invariants,
+    census_complement_invariants,
     tight_structure_census,
     double_cover_obstruction,
 )

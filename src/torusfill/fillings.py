@@ -19,7 +19,11 @@ Three computations live here.
   same dual graph whose orthogonal complements have different Gram
   determinants, computed from scratch for every family parameter and
   compared against the closed formulas (-1)^(N+1) (9N+20) and
-  (-1)^(N+1) 9 (9N+20).
+  (-1)^(N+1) 9 (9N+20).  The complement invariants of these and of the
+  census configurations come from the configuration side: the ambient
+  lattice is unimodular, so a nondegenerate saturated span and its
+  complement share their discriminant group (_complement_invariants
+  gives the argument).
 
 Contact-structure counting is integer bookkeeping: rotation-number
 tuples with one entry from {-(d_j - 2), ..., d_j - 2} in steps of two
@@ -34,6 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .blowup import dominated_blowups
 from .divisor import (
@@ -48,9 +53,13 @@ from .divisor import (
 )
 from .errors import DomainError, ResourceLimitError
 from .lattice import (
+    EVEN,
     LatticeInvariants,
+    gram_invariants,
     lattice_invariants,
     orthogonal_complement,
+    radical_and_quotient,
+    smith_normal_form,
 )
 from .sl2z import is_standard_string, orientation_reversal
 
@@ -65,6 +74,8 @@ __all__ = [
     "parabolic_solutions_raw",
     "DistFillResult",
     "distfill_family",
+    "complement_invariants",
+    "census_complement_invariants",
     "ContactCensus",
     "tight_structure_census",
     "VIRTUALLY_OVERTWISTED",
@@ -418,6 +429,27 @@ def _filter_parabolic(n: int, raw: dict) -> list:
 # --- distinguished filling family ------------------------------------------
 
 
+# The family classes at n = 0, as rows (h; e_1, ..., e_9).
+_FAMILY_FIRST = (
+    (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),  # h
+    (1, -1, -1, 0, -1, 0, 0, 0, 0, 0),  # h - e1 - e2 - e4
+    (0, 0, 0, 0, 1, -1, -1, 0, 0, 0),  # e4 - e5 - e6
+    (0, 0, 1, -1, -1, 0, 0, 0, 0, 0),  # e2 - e3 - e4
+    (0, 0, 0, 1, 0, 0, 0, -1, 0, 0),  # e3 - e7
+    (0, 1, -1, -1, 0, 0, 0, 0, 0, 0),  # e1 - e2 - e3
+    (1, -1, 0, 0, 0, 0, 0, 0, -1, -1),  # h - e1 - e8 - e9
+)
+_FAMILY_SECOND = (
+    (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),  # h
+    (1, -1, -1, 0, 0, -1, 0, 0, 0, 0),  # h - e1 - e2 - e5
+    (0, 0, 1, -1, -1, 0, 0, 0, 0, 0),  # e2 - e3 - e4
+    (0, 0, 0, 0, 1, 0, -1, -1, 0, 0),  # e4 - e6 - e7
+    (0, 0, 0, 1, -1, 0, 0, 0, 0, 0),  # e3 - e4
+    (0, 1, -1, -1, 0, 0, 0, 0, 0, 0),  # e1 - e2 - e3
+    (1, -1, 0, 0, 0, 0, 0, 0, -1, -1),  # h - e1 - e8 - e9
+)
+
+
 def _family_configurations(n: int):
     """The two seven-sphere cycle configurations in a 9 + n fold blowup
     of the plane sharing one dual graph; the extra n blowups sit on the
@@ -429,31 +461,114 @@ def _family_configurations(n: int):
     sphere whose coefficient in the index-three relation vanishes, and
     among the -3 spheres only the third one both preserves the relation
     and yields the determinant profile 81n + 180 of the shared graph.
+
+    Each class is written once, as its n = 0 row padded with n
+    coordinates: -1 on e_10, ..., e_(9+n) for the third sphere, 0 for
+    the others.
     """
     amb = Ambient(CP2, 9 + n)
-    h, e = amb.h(), amb.e
-    first = [
-        h,
-        h - e(1) - e(2) - e(4),
-        e(4) - e(5) - e(6),
-        e(2) - e(3) - e(4),
-        e(3) - e(7),
-        e(1) - e(2) - e(3),
-        h - e(1) - e(8) - e(9),
-    ]
-    second = [
-        h,
-        h - e(1) - e(2) - e(5),
-        e(2) - e(3) - e(4),
-        e(4) - e(6) - e(7),
-        e(3) - e(4),
-        e(1) - e(2) - e(3),
-        h - e(1) - e(8) - e(9),
-    ]
-    for k in range(10, 10 + n):
-        first[2] = first[2] - e(k)
-        second[2] = second[2] - e(k)
-    return amb, first, second
+
+    def classes(table):
+        return [HClass(amb, row + ((-1,) if k == 2 else (0,)) * n) for k, row in enumerate(table)]
+
+    return amb, classes(_FAMILY_FIRST), classes(_FAMILY_SECOND)
+
+
+def _complement_invariants(amb: Ambient, rows) -> LatticeInvariants:
+    """lattice_invariants of the orthogonal complement T of the classes
+    with coordinate tuples `rows` in `amb`, read off their saturated
+    span S without building T.
+
+    S comes from one Smith form u * M * v == d of the k x (N + 1) matrix
+    M of the rows (its transforms re-checked as on every call).  Then
+    u * M == d * v^-1, so for i < r = rank M row i of u * M is d_i times
+    row i of the unimodular v^-1, and the rows past r vanish.  Divided
+    exactly by d_i, the first r rows are part of a basis of Z^(N + 1)
+    spanning M's rational row space: a basis of S, never a guessed one.
+    Its r x r Gram (k x k when the classes are independent, as on every
+    cap) goes through gram_invariants once.
+
+    Three hypotheses are checked on every call; when one fails, the
+    answer is lattice_invariants(orthogonal_complement(...)):
+    (1) amb blows up the plane, so the ambient lattice L is
+    diag(1, -1, ..., -1): unimodular of signature (1, N);
+    (2) the rows sum to the anticanonical class K = 3h - e_1 - ... - e_N;
+    (3) det S != 0.
+
+    Invariants from S.  By (3), L_Q = S_Q + T_Q, so T has rank N + 1 - r,
+    is nondegenerate, has signature (1, N) minus that of S, and the sign
+    of det T is (-1) to its negative index.  S is primitive, and so is T.
+    Because L is unimodular, every functional on a primitive sublattice
+    is the pairing with some x in L; so x -> (x . -)|S maps L onto S^*,
+    and x lies in the preimage of S exactly when x - (its S part) lies
+    in L cap T_Q = T, that is when x is in S + T.  Hence
+    S^*/S = L/(S + T) = T^*/T (Nikulin, Integral symmetric bilinear
+    forms, Math. USSR Izv. 14, 1980, 1.6).  |det| of a nondegenerate
+    Gram is the order of that discriminant group, and its elementary
+    divisors > 1 are the group's invariant factors, so both agree.
+
+    Parity.  K is characteristic: x . x = x_0^2 - sum x_i^2 is congruent
+    to x_0 + sum x_i, hence to 3 x_0 - sum x_i = x . K, mod 2.  By (2) K
+    is a sum of rows, so K lies in S and pairs to zero with T: every
+    x in T has even square, and T is even.
+
+    Why (3) holds for every hyperbolic cycle cap.  The Gram of its k
+    components is the intersection form Q of the cycle plumbing X whose
+    boundary is the torus bundle Y.  With H_1(X) = Z, H_2(X, Y) = Z^k and
+    H_1(X, Y) = 0, the exact sequence H_2(X) -Q-> H_2(X, Y) -> H_1(Y) ->
+    H_1(X) -> 0 gives b1(Y) = 1 + nullity(Q).  A hyperbolic monodromy A
+    has A - I invertible over Q, so b1(Y) = 1 and Q is nondegenerate:
+    the k classes are independent (r = k) and det S = det Q / [S : span]^2
+    is not zero.
+    """
+    columns = list(zip(*rows))
+    if amb.model == CP2 and tuple(map(sum, columns)) == amb.anticanonical().coords:
+        d, u, _ = smith_normal_form(rows)
+        basis = []
+        for i, coefs in enumerate(u[:amb.rank]):
+            if not d[i][i]:
+                break
+            quotients = [divmod(sum(map(mul, coefs, col)), d[i][i]) for col in columns]
+            assert not any(rem for _, rem in quotients), "saturation must divide exactly"
+            basis.append(tuple(q for q, _ in quotients))
+        span = gram_invariants(
+            [[x[0] * y[0] - sum(map(mul, x[1:], y[1:])) for y in basis] for x in basis]
+        )
+        if span.det:
+            pos, neg, _ = span.signature
+            signature = (1 - pos, amb.blowups - neg, 0)
+            return LatticeInvariants(
+                rank=amb.rank - span.rank,
+                det=abs(span.det) * (-1) ** signature[1],
+                parity=EVEN,
+                signature=signature,
+                elementary_divisors=span.elementary_divisors,
+            )
+    return lattice_invariants(orthogonal_complement(amb.gram(), rows))
+
+
+def complement_invariants(configuration: Divisor):
+    """(radical rank, LatticeInvariants) of the orthogonal complement of
+    a configuration's classes: the invariants are those of the
+    nondegenerate quotient by the radical, as radical_and_quotient
+    gives them.
+
+    For an anticanonical configuration in a blown-up plane with a
+    nondegenerate span, such as every hyperbolic cycle cap, the
+    complement is nondegenerate and _complement_invariants reads its
+    invariants off the configuration side; otherwise the complement is
+    built."""
+    amb = configuration.ambient
+    rows = [c.coords for c in configuration.components]
+    inv = _complement_invariants(amb, rows)
+    if inv.signature[2] == 0:
+        return 0, inv
+    return radical_and_quotient(orthogonal_complement(amb.gram(), rows))
+
+
+def census_complement_invariants(census: CensusResult) -> frozenset:
+    """The distinct complement_invariants of the census configurations."""
+    return frozenset(map(complement_invariants, census.configurations))
 
 
 @dataclass(frozen=True)
@@ -476,8 +591,14 @@ def distfill_family(n: int, limit: int = 50) -> DistFillResult:
     """Gram determinants and parities of the sublattices orthogonal to
     the two distinguished configurations with family parameter n >= 0.
 
-    The complements are computed directly from the class lists (never
-    from a guessed basis) and compared against the closed formulas
+    No complement basis is built.  _complement_invariants takes the
+    saturated span S of each class list from the Smith form of the
+    class rows themselves (never from a guessed basis), and reads the
+    complement's rank, signature, signed determinant and elementary
+    divisors off the 7 x 7 Gram of S, its parity off the anticanonical
+    total class: the ambient is unimodular, so S and its complement
+    share their discriminant group.  The rank is asserted to be n + 3,
+    and the determinants are compared against the closed formulas
     (-1)^(n+1) (9n + 20) and (-1)^(n+1) 9 (9n + 20); a mismatch is
     reported in matches_formula rather than asserted away.
     """
@@ -486,11 +607,8 @@ def distfill_family(n: int, limit: int = 50) -> DistFillResult:
     if n > limit:
         raise ResourceLimitError("family parameter %d exceeds limit %d" % (n, limit))
     amb, first, second = _family_configurations(n)
-    gram = amb.gram()
-    sub1 = orthogonal_complement(gram, [c.coords for c in first])
-    sub2 = orthogonal_complement(gram, [c.coords for c in second])
-    inv1 = lattice_invariants(sub1)
-    inv2 = lattice_invariants(sub2)
+    inv1 = _complement_invariants(amb, [c.coords for c in first])
+    inv2 = _complement_invariants(amb, [c.coords for c in second])
     assert inv1.rank == n + 3 and inv2.rank == n + 3
     f1 = (-1) ** (n + 1) * (9 * n + 20)
     f2 = (-1) ** (n + 1) * 9 * (9 * n + 20)

@@ -196,7 +196,7 @@ def is_standard_string(d) -> bool:
 
 def _is_standard(entries) -> bool:
     # is_standard_string on a tuple that _as_string already validated
-    return all(x >= 2 for x in entries) and any(x >= 3 for x in entries)
+    return min(entries) >= 2 and max(entries) >= 3
 
 
 def orientation_reversal(d):

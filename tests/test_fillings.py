@@ -3,9 +3,11 @@ import itertools
 import pytest
 
 from torusfill.blowup import dominated_blowups, dominates
+from torusfill import fillings
 from torusfill.divisor import (
     Ambient,
     CP2,
+    S2XS2,
     Divisor,
     blowup_node_total,
     cycle_cap_from_path,
@@ -19,6 +21,8 @@ from torusfill.fillings import (
     FillingInvariants,
     INCONCLUSIVE,
     VIRTUALLY_OVERTWISTED,
+    census_complement_invariants,
+    complement_invariants,
     distfill_family,
     double_cover_obstruction,
     euler_consistency,
@@ -29,8 +33,19 @@ from torusfill.fillings import (
     parabolic_solutions_raw,
     tight_structure_census,
 )
-from torusfill.fillings import _canonical_configuration, _raw_cp2, _raw_s2xs2
-from torusfill.lattice import cokernel_invariants
+from torusfill.fillings import (
+    _canonical_configuration,
+    _complement_invariants,
+    _family_configurations,
+    _raw_cp2,
+    _raw_s2xs2,
+)
+from torusfill.lattice import (
+    cokernel_invariants,
+    lattice_invariants,
+    orthogonal_complement,
+    radical_and_quotient,
+)
 from torusfill.sl2z import (
     cyclic_canonical,
     is_standard_string,
@@ -343,6 +358,123 @@ class TestDistFill:
     def test_negative_parameter_rejected(self):
         with pytest.raises(DomainError):
             distfill_family(-1)
+
+
+def _family_configurations_oracle(n):
+    """The earlier family builder: every class by HClass arithmetic,
+    the n extra blowups subtracted from the third sphere one by one."""
+    amb = Ambient(CP2, 9 + n)
+    h, e = amb.h(), amb.e
+    first = [
+        h,
+        h - e(1) - e(2) - e(4),
+        e(4) - e(5) - e(6),
+        e(2) - e(3) - e(4),
+        e(3) - e(7),
+        e(1) - e(2) - e(3),
+        h - e(1) - e(8) - e(9),
+    ]
+    second = [
+        h,
+        h - e(1) - e(2) - e(5),
+        e(2) - e(3) - e(4),
+        e(4) - e(6) - e(7),
+        e(3) - e(4),
+        e(1) - e(2) - e(3),
+        h - e(1) - e(8) - e(9),
+    ]
+    for k in range(10, 10 + n):
+        first[2] = first[2] - e(k)
+        second[2] = second[2] - e(k)
+    return amb, first, second
+
+
+def _complement_route(amb, rows):
+    return lattice_invariants(orthogonal_complement(amb.gram(), rows))
+
+
+@pytest.fixture
+def complement_calls(monkeypatch):
+    """Every orthogonal_complement call the fillings module makes."""
+    calls = []
+
+    def spy(gram, vectors):
+        calls.append(len(gram))
+        return orthogonal_complement(gram, vectors)
+
+    monkeypatch.setattr(fillings, "orthogonal_complement", spy)
+    return calls
+
+
+def _census_configurations():
+    for c in _oracle_targets():
+        try:
+            census = hyperbolic_filling_census(orientation_reversal(c))
+        except DomainError:
+            continue
+        yield from census.configurations
+
+
+class TestComplementInvariants:
+    @pytest.mark.parametrize("n", range(61))
+    def test_family_rows_match_class_arithmetic(self, n):
+        assert _family_configurations(n) == _family_configurations_oracle(n)
+
+    @pytest.mark.parametrize("n", (100, 200))
+    def test_family_matches_complement_route(self, n, complement_calls):
+        amb, first, second = _family_configurations(n)
+        for conf in (first, second):
+            rows = [c.coords for c in conf]
+            inv = _complement_invariants(amb, rows)
+            assert not complement_calls
+            assert inv == _complement_route(amb, rows)
+            assert inv.rank == n + 3
+
+    def test_census_configurations_match_complement_route(self, complement_calls):
+        # every hyperbolic cycle cap is anticanonical with a nondegenerate
+        # span, so none of them leaves the configuration side
+        count = 0
+        for cap in _census_configurations():
+            rows = [c.coords for c in cap.components]
+            inv = _complement_invariants(cap.ambient, rows)
+            assert not complement_calls
+            sub = orthogonal_complement(cap.ambient.gram(), rows)
+            assert inv == lattice_invariants(sub)
+            assert complement_invariants(cap) == radical_and_quotient(sub) == (0, inv)
+            count += 1
+        assert count > 800
+
+    @pytest.mark.parametrize("amb, rows", [
+        # the total is not the anticanonical class
+        (Ambient(CP2, 9), [c.coords for c in _family_configurations(0)[1][:-1]]),
+        # anticanonical, but the span is degenerate: K^2 = 0 in CP2#9
+        (Ambient(CP2, 9), [Ambient(CP2, 9).anticanonical().coords]),
+        # a blown-up product of spheres, with total 2s + 2f - e1
+        (Ambient(S2XS2, 1), [(1, 0, 0), (1, 1, 0), (0, 1, -1)]),
+    ])
+    def test_fallback_takes_complement_route(self, amb, rows, complement_calls):
+        inv = _complement_invariants(amb, rows)
+        assert complement_calls == [amb.rank]
+        assert inv == _complement_route(amb, rows)
+
+    def test_degenerate_complement_reports_radical(self):
+        amb = Ambient(CP2, 9)
+        div = Divisor(amb, (amb.anticanonical(),), ("K",))
+        sub = orthogonal_complement(amb.gram(), [amb.anticanonical().coords])
+        radical, inv = complement_invariants(div)
+        assert (radical, inv) == radical_and_quotient(sub)
+        assert radical == 1 and inv.rank == 8 and abs(inv.det) == 1
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_census_finds_the_distfill_pair(self, n):
+        d = (3, 3, 4, 3) + (2,) * n + (3,)
+        census = hyperbolic_filling_census(d)
+        res = distfill_family(n)
+        found = census_complement_invariants(census)
+        assert found == {(0, res.invariants1), (0, res.invariants2)}
+        assert res.invariants1 != res.invariants2
+        keys = set(map(_canonical_configuration, census.configurations))
+        assert set(map(_canonical_configuration, family_configuration_divisors(n))) <= keys
 
 
 class TestContact:
