@@ -23,8 +23,10 @@ from .divisor import (
     cycle_monodromy,
     divisor_to_dict,
     dual_graph,
+    elliptic_cap,
     hyperbolic_cycle_cap,
-    realize_cap,
+    hyperbolic_single_cap,
+    parabolic_cap,
 )
 from .errors import DomainError, ResourceLimitError
 from .sl2z import (
@@ -183,12 +185,12 @@ def _cap_from_args(args):
     if args.d is not None:
         return hyperbolic_cycle_cap(args.d, limit=args.limit)
     if args.c1 is not None:
-        return realize_cap("hyperbolic-single", c1=args.c1)
+        return hyperbolic_single_cap(args.c1)
     if args.n is not None:
-        return realize_cap("parabolic", n=args.n)
+        return parabolic_cap(args.n)
     if args.epsilon is None:
         raise DomainError("--elliptic needs --epsilon")
-    return realize_cap("elliptic-%s" % args.elliptic, epsilon=args.epsilon)
+    return elliptic_cap(args.epsilon, args.elliptic)
 
 
 def _report_cap(args):

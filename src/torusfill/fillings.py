@@ -12,8 +12,9 @@ Three computations live here.
 * The parabolic systems: exhaustive integer search for the classes of
   the two spheres of the parabolic cap inside a blown-up plane or
   product of spheres, pruned by the sum and sum-of-squares bounds, with
-  the minimality filters that cut the raw solution set to the unique
-  surviving class assignment per model.
+  the minimality condition that cuts the raw solution set to one
+  survivor per model.  Each survivor is asserted to be that model's
+  parabolic cap; the plane's is parabolic_cap(n).
 
 * The distinguished-filling family: two cycle configurations with the
   same dual graph whose orthogonal complements have different Gram
@@ -47,9 +48,11 @@ from .divisor import (
     Ambient,
     Divisor,
     HClass,
+    _pair,
     blowup_node_total,
     cycle_cap_from_path,
     is_anticanonical,
+    parabolic_cap,
 )
 from .errors import DomainError, ResourceLimitError
 from .lattice import (
@@ -316,28 +319,9 @@ def _raw_s2xs2(n):
     return out
 
 
-def _reject_disjoint_exceptional(coeffs) -> bool:
-    # a vanishing coefficient means an exceptional sphere disjoint from
-    # both cap spheres, contradicting minimality of the filling
-    return any(x == 0 for x in coeffs)
-
-
-def _reject_split_exceptional(coeffs) -> bool:
-    # a coefficient 2 splits off an exceptional sphere disjoint from the
-    # configuration, again against minimality: h - e_1 - e_j for b_j = 2
-    # (j > 1) on the plane, f - e_i for c_i = 2 on the product
-    return any(x == 2 for x in coeffs)
-
-
-def _reject_unit_count(coeffs, n) -> bool:
-    # blowing down extra +-1 coefficients would embed the forbidden
-    # n > 4 configuration, so exactly 4 - n unit coefficients survive
-    return sum(1 for x in coeffs if x == 1) != 4 - n
-
-
 def parabolic_solutions_raw(n: int) -> dict:
     """Raw exhaustive solutions of the two parabolic systems, before the
-    minimality filters, keyed by model.  Below _SEARCH_N_MIN the plane
+    minimality condition, keyed by model.  Below _SEARCH_N_MIN the plane
     survivor has more exceptional classes than the box tries, so such n
     are refused rather than searched."""
     if n > 4:
@@ -358,72 +342,68 @@ def parabolic_solutions(n: int) -> list:
     """The unique filtered solution per model for the parabolic bundle
     parameter n in _SEARCH_N_MIN..4 (that is, -7..4).
 
-    The plane survivor is a = 2, b_1 = 0 with 4 - n unit coefficients:
-    fiber class h - e_1 and conic class 2h - e_2 - ... - e_{5-n}.  The
-    product survivor is b = 1 with all c_i = 1: fiber class f and conic
-    class 2s + f - e_1 - ... - e_{4-n}.  The reported b2 of the filling
-    is 4 - n; the rank identity of euler_diagnostic favours 5 - n, and
-    both values are carried so the divergence stays visible.
+    Each model's sole survivor is asserted to be that model's parabolic
+    cap.  The plane survivor is a = 2, b_1 = 0 with 4 - n unit
+    coefficients; its fiber class h - e_1 and conic class
+    2h - e_2 - ... - e_{5-n} are the components of parabolic_cap(n).
+    The product survivor is b = 1 with all c_i = 1: fiber class f and
+    conic class 2s + f - e_1 - ... - e_{4-n}.  The reported b2 of the
+    filling is 4 - n; the rank identity of euler_diagnostic favours
+    5 - n, and both values are carried so the divergence stays visible.
     """
     return _filter_parabolic(n, parabolic_solutions_raw(n))
 
 
 def _sole_survivor(entries, n: int):
     """The one raw entry of parameter n whose coefficients, its last
-    item, pass all three minimality filters."""
-    survivors = []
-    for entry in entries:
-        coeffs = entry[-1]
-        if (_reject_disjoint_exceptional(coeffs) or _reject_split_exceptional(coeffs)
-                or _reject_unit_count(coeffs, n)):
-            continue
-        survivors.append(entry)
+    item, meet the minimality condition: no coefficient 0, no
+    coefficient 2, and exactly 4 - n coefficients equal to 1.
+
+    A vanishing coefficient means an exceptional sphere disjoint from
+    both cap spheres, contradicting minimality of the filling.  A
+    coefficient 2 splits off an exceptional sphere disjoint from the
+    configuration, again against minimality: h - e_1 - e_j for b_j = 2
+    (j > 1) on the plane, f - e_i for c_i = 2 on the product.  Blowing
+    down extra +-1 coefficients would embed the forbidden n > 4
+    configuration, so exactly 4 - n unit coefficients survive."""
+    survivors = [
+        entry for entry in entries
+        if 0 not in entry[-1] and 2 not in entry[-1] and entry[-1].count(1) == 4 - n
+    ]
     assert len(survivors) == 1, survivors
     return survivors[0]
 
 
 def _filter_parabolic(n: int, raw: dict) -> list:
-    """parabolic_solutions from the raw solutions of parameter n."""
+    """parabolic_solutions from the raw solutions of parameter n: each
+    model's sole survivor, with the (fiber, conic) classes of that
+    model's parabolic cap."""
     a, b1, rest = _sole_survivor(raw[CP2], n)
-    assert (a, b1) == (2, 0) and all(x == 1 for x in rest) and len(rest) == 4 - n
-    amb = Ambient(CP2, 5 - n)
-    fiber = amb.h() - amb.e(1)
-    conic = amb.h() + amb.h()
-    for i in range(2, 6 - n):
-        conic = conic - amb.e(i)
-    cp2 = ParabolicSolution(
-        model=CP2,
-        a=a,
-        b=b1,
-        coefficients=(b1,) + rest,
-        n_blowups=5 - n,
-        fiber_class=fiber,
-        conic_class=conic,
-        b2_filling=4 - n,
-        b2_rank_consistent=5 - n,
-    )
-    assert fiber.dot(fiber) == 0 and conic.dot(conic) == n and fiber.dot(conic) == 2
-
     b, cs = _sole_survivor(raw[S2XS2], n)
-    assert b == 1 and all(x == 1 for x in cs) and len(cs) == 4 - n
-    amb2 = Ambient(S2XS2, 4 - n)
-    fiber2 = amb2.f()
-    conic2 = amb2.s() + amb2.s() + amb2.f()
-    for i in range(1, 5 - n):
-        conic2 = conic2 - amb2.e(i)
-    s2 = ParabolicSolution(
-        model=S2XS2,
-        a=2,
-        b=b,
-        coefficients=cs,
-        n_blowups=4 - n,
-        fiber_class=fiber2,
-        conic_class=conic2,
-        b2_filling=4 - n,
-        b2_rank_consistent=5 - n,
+    units = (1,) * (4 - n)
+    assert ((a, b1, rest), (b, cs)) == ((2, 0, units), (1, units))
+    product = Ambient(S2XS2, 4 - n)
+    models = (
+        (CP2, a, b1, (b1,) + rest, parabolic_cap(n).components),
+        # f and 2s + f - e_1 - ... - e_{4-n}
+        (S2XS2, 2, b, cs, (HClass(product, (0, 1) + (0,) * (4 - n)),
+                           HClass(product, (2, 1) + (-1,) * (4 - n)))),
     )
-    assert fiber2.dot(fiber2) == 0 and conic2.dot(conic2) == n and fiber2.dot(conic2) == 2
-    return [cp2, s2]
+    solutions = []
+    for model, a, b, coefficients, (fiber, conic) in models:
+        assert fiber.dot(fiber) == 0 and conic.dot(conic) == n and fiber.dot(conic) == 2
+        solutions.append(ParabolicSolution(
+            model=model,
+            a=a,
+            b=b,
+            coefficients=coefficients,
+            n_blowups=fiber.ambient.blowups,
+            fiber_class=fiber,
+            conic_class=conic,
+            b2_filling=4 - n,
+            b2_rank_consistent=5 - n,
+        ))
+    return solutions
 
 
 # --- distinguished filling family ------------------------------------------
@@ -531,9 +511,7 @@ def _complement_invariants(amb: Ambient, rows) -> LatticeInvariants:
             quotients = [divmod(sum(map(mul, coefs, col)), d[i][i]) for col in columns]
             assert not any(rem for _, rem in quotients), "saturation must divide exactly"
             basis.append(tuple(q for q, _ in quotients))
-        span = gram_invariants(
-            [[x[0] * y[0] - sum(map(mul, x[1:], y[1:])) for y in basis] for x in basis]
-        )
+        span = gram_invariants([[_pair(CP2, x, y) for y in basis] for x in basis])
         if span.det:
             pos, neg, _ = span.signature
             signature = (1 - pos, amb.blowups - neg, 0)

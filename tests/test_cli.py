@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from torusfill import cli, fillings, lattice
 from torusfill.blowup import dominates
 from torusfill.cli import _parse_gram, main, parse_string_arg, run
-from torusfill.divisor import divisor_from_dict, dual_graph
+from torusfill.divisor import divisor_from_dict, divisor_to_dict, dual_graph, realize_cap
+from torusfill.errors import DomainError
 
 from test_blowup import iter_blowup_paths, level_blowups
 
@@ -86,6 +87,20 @@ class TestEmbed:
         assert status == 1 and "error" in err
 
 
+# cap arguments with the realize_cap kind and parameters they name
+CAP_CASES = [
+    (["--c1", "3"], "hyperbolic-single", {"c1": 3}),
+    (["--c1", "7"], "hyperbolic-single", {"c1": 7}),
+    (["--c1", "2"], "hyperbolic-single", {"c1": 2}),
+    (["--n", "4"], "parabolic", {"n": 4}),
+    (["--n=-3"], "parabolic", {"n": -3}),
+    (["--n", "5"], "parabolic", {"n": 5}),
+    (["--elliptic", "left", "--epsilon", "1"], "elliptic-left", {"epsilon": 1}),
+    (["--elliptic", "right", "--epsilon=-1"], "elliptic-right", {"epsilon": -1}),
+    (["--elliptic", "right", "--epsilon", "2"], "elliptic-right", {"epsilon": 2}),
+]
+
+
 class TestCap:
     def test_cycle_cap_round_trip(self, capsys):
         status, out, _ = capture(capsys, ["cap", "--d", "5", "--json"])
@@ -110,6 +125,26 @@ class TestCap:
     def test_needs_exactly_one_family(self, capsys):
         status, out, err = capture(capsys, ["cap", "--json"])
         assert status == 1
+
+    @pytest.mark.parametrize("argv, kind, params", CAP_CASES,
+                             ids=[" ".join(argv) for argv, _, _ in CAP_CASES])
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_reports_match_realize_cap(self, capsys, monkeypatch, argv, kind, params, mode):
+        # the verb calls each builder directly; realize_cap's dispatch is
+        # the reference for the divisor, the whole report and the errors
+        got = capture(capsys, ["cap"] + argv + mode)
+        try:
+            reference = realize_cap(kind, **params)
+        except DomainError as exc:
+            assert got == (1, "", "error: %s\n" % exc)
+            return
+        monkeypatch.setattr(cli, "_cap_from_args", lambda args: realize_cap(kind, **params))
+        want = capture(capsys, ["cap"] + argv + mode)
+        if mode:
+            assert json.loads(got[1])["divisor"] == divisor_to_dict(reference)
+        else:
+            got, want = [(s, out.split("elapsed")[0], err) for s, out, err in (got, want)]
+        assert got == want and got[0] == 0
 
 
 class TestFillings:

@@ -14,12 +14,14 @@ from torusfill.divisor import (
     divisor_to_dict,
     dual_graph,
     is_anticanonical,
+    parabolic_cap,
 )
 from torusfill.errors import DomainError
 from torusfill.fillings import (
     CensusResult,
     FillingInvariants,
     INCONCLUSIVE,
+    ParabolicSolution,
     VIRTUALLY_OVERTWISTED,
     census_complement_invariants,
     complement_invariants,
@@ -37,6 +39,7 @@ from torusfill.fillings import (
     _canonical_configuration,
     _complement_invariants,
     _family_configurations,
+    _filter_parabolic,
     _raw_cp2,
     _raw_s2xs2,
 )
@@ -286,6 +289,51 @@ class TestParabolic:
             parabolic_solutions(5)
         with pytest.raises(DomainError):
             parabolic_solutions_raw(6)
+
+
+def _filter_parabolic_oracle(n, raw):
+    # the filter as it once stood: three separate minimality filters and
+    # each model's classes built by hand from the ambient basis
+    def survivor(entries):
+        survivors = [
+            entry for entry in entries
+            if not any(x == 0 for x in entry[-1])
+            and not any(x == 2 for x in entry[-1])
+            and sum(1 for x in entry[-1] if x == 1) == 4 - n
+        ]
+        assert len(survivors) == 1, survivors
+        return survivors[0]
+
+    a, b1, rest = survivor(raw[CP2])
+    assert (a, b1) == (2, 0) and all(x == 1 for x in rest) and len(rest) == 4 - n
+    amb = Ambient(CP2, 5 - n)
+    fiber = amb.h() - amb.e(1)
+    conic = amb.h() + amb.h()
+    for i in range(2, 6 - n):
+        conic = conic - amb.e(i)
+    cp2 = ParabolicSolution(CP2, a, b1, (b1,) + rest, 5 - n, fiber, conic, 4 - n, 5 - n)
+
+    b, cs = survivor(raw[S2XS2])
+    assert b == 1 and all(x == 1 for x in cs) and len(cs) == 4 - n
+    amb2 = Ambient(S2XS2, 4 - n)
+    fiber2 = amb2.f()
+    conic2 = amb2.s() + amb2.s() + amb2.f()
+    for i in range(1, 5 - n):
+        conic2 = conic2 - amb2.e(i)
+    s2 = ParabolicSolution(S2XS2, 2, b, cs, 4 - n, fiber2, conic2, 4 - n, 5 - n)
+    return [cp2, s2]
+
+
+@pytest.mark.parametrize("n", range(-7, 5))
+class TestParabolicFilterOracle:
+    def test_matches_hand_built_filter(self, n):
+        raw = parabolic_solutions_raw(n)
+        assert _filter_parabolic(n, raw) == _filter_parabolic_oracle(n, raw)
+
+    def test_plane_survivor_is_the_parabolic_cap(self, n):
+        plane = parabolic_solutions(n)[0]
+        assert plane.model == CP2
+        assert (plane.fiber_class, plane.conic_class) == parabolic_cap(n).components
 
 
 def _brute_raw_cp2(n):
