@@ -6,13 +6,15 @@ JSON document with --json.  JSON output is deterministic (sorted keys,
 no timing field); elapsed time is shown in text mode only.
 
 Exit codes: 0 on success, 1 on domain or resource errors (diagnostic on
-stderr), 2 on usage errors.
+stderr) and, from main, when the reader closes stdout early (silently),
+2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -463,6 +465,54 @@ def _build_parser(verbs):
     return parser
 
 
+_escape = json.encoder.encode_basestring_ascii
+_INT, _STR = frozenset({int}), frozenset({str})
+
+
+def _json_text(value):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+
+    indent= forces the pure-Python encoder, so reports are written here:
+    dispatch is on the exact type (a bool is never taken for an int),
+    strings are escaped to ASCII as json.dumps escapes them, an all-int
+    list is one join, and each depth's newline-plus-indent is built once
+    per call.  A value of any other type (a float, a subclass, a dict
+    with a non-str key) is handed to json.dumps and its text re-indented
+    to its depth; escaped strings hold no newline, so every newline in
+    that text is a line break of the layout.
+    """
+    newlines = ["\n"]
+
+    def write(v, depth):
+        t = type(v)
+        if t is str:
+            return _escape(v)
+        if t is int:
+            return int.__repr__(v)
+        if v is None:
+            return "null"
+        if t is bool:
+            return "true" if v else "false"
+        if t is list or t is tuple or t is dict:
+            if not v:
+                return "{}" if t is dict else "[]"
+            if depth + 1 == len(newlines):
+                newlines.append(newlines[depth] + "  ")
+            inner, close = newlines[depth + 1], newlines[depth]
+            sep = "," + inner
+            if t is not dict:
+                if {*map(type, v)} == _INT:
+                    return "[" + inner + sep.join(map(int.__repr__, v)) + close + "]"
+                return "[" + inner + sep.join([write(x, depth + 1) for x in v]) + close + "]"
+            if {*map(type, v)} == _STR:
+                return "{" + inner + sep.join(
+                    [_escape(k) + ": " + write(v[k], depth + 1) for k in sorted(v)]
+                ) + close + "}"
+        return json.dumps(v, indent=2, sort_keys=True).replace("\n", newlines[depth])
+
+    return write(value, 0)
+
+
 def run(argv=None):
     """Parse arguments, dispatch, and print the report; returns the
     process exit status."""
@@ -478,7 +528,7 @@ def run(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
     else:
         render(report, sys.stdout)
         for warning in report.get("warnings", ()):
@@ -488,7 +538,17 @@ def run(argv=None):
 
 
 def main(argv=None):
-    return run(argv)
+    """run, with a reader that closed the pipe early ending in status 1
+    and no traceback (the recipe of the `signal` module's docs)."""
+    try:
+        status = run(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the flush at interpreter exit would raise again: send what is
+        # left of stdout to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

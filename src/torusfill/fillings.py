@@ -23,7 +23,7 @@ Three computations live here.
   (-1)^(N+1) 9 (9N+20).  The complement invariants of these and of the
   census configurations come from the configuration side: the ambient
   lattice is unimodular, so a nondegenerate saturated span and its
-  complement share their discriminant group (_complement_invariants
+  complement share their discriminant group (_span_invariants
   gives the argument).
 
 Contact-structure counting is integer bookkeeping: rotation-number
@@ -455,9 +455,19 @@ def _family_configurations(n: int):
 
 
 def _complement_invariants(amb: Ambient, rows) -> LatticeInvariants:
+    """lattice_invariants of the orthogonal complement of the classes
+    with coordinate tuples `rows` in `amb`: _span_invariants when its
+    hypotheses hold, else from the complement itself."""
+    inv = _span_invariants(amb, rows)
+    if inv is None:
+        return lattice_invariants(orthogonal_complement(amb.gram(), rows))
+    return inv
+
+
+def _span_invariants(amb: Ambient, rows):
     """lattice_invariants of the orthogonal complement T of the classes
     with coordinate tuples `rows` in `amb`, read off their saturated
-    span S without building T.
+    span S without building T; None when a hypothesis below fails.
 
     S comes from one Smith form u * M * v == d of the k x (N + 1) matrix
     M of the rows (its transforms re-checked as on every call).  Then
@@ -468,8 +478,7 @@ def _complement_invariants(amb: Ambient, rows) -> LatticeInvariants:
     Its r x r Gram (k x k when the classes are independent, as on every
     cap) goes through gram_invariants once.
 
-    Three hypotheses are checked on every call; when one fails, the
-    answer is lattice_invariants(orthogonal_complement(...)):
+    Three hypotheses are checked on every call:
     (1) amb blows up the plane, so the ambient lattice L is
     diag(1, -1, ..., -1): unimodular of signature (1, N);
     (2) the rows sum to the anticanonical class K = 3h - e_1 - ... - e_N;
@@ -522,7 +531,7 @@ def _complement_invariants(amb: Ambient, rows) -> LatticeInvariants:
                 signature=signature,
                 elementary_divisors=span.elementary_divisors,
             )
-    return lattice_invariants(orthogonal_complement(amb.gram(), rows))
+    return None
 
 
 def complement_invariants(configuration: Divisor):
@@ -533,15 +542,19 @@ def complement_invariants(configuration: Divisor):
 
     For an anticanonical configuration in a blown-up plane with a
     nondegenerate span, such as every hyperbolic cycle cap, the
-    complement is nondegenerate and _complement_invariants reads its
+    complement is nondegenerate and _span_invariants reads its
     invariants off the configuration side; otherwise the complement is
-    built."""
+    built, once."""
     amb = configuration.ambient
     rows = [c.coords for c in configuration.components]
-    inv = _complement_invariants(amb, rows)
+    inv = _span_invariants(amb, rows)
+    if inv is not None:
+        return 0, inv
+    sub = orthogonal_complement(amb.gram(), rows)
+    inv = lattice_invariants(sub)
     if inv.signature[2] == 0:
         return 0, inv
-    return radical_and_quotient(orthogonal_complement(amb.gram(), rows))
+    return radical_and_quotient(sub)
 
 
 def census_complement_invariants(census: CensusResult) -> frozenset:
@@ -569,7 +582,7 @@ def distfill_family(n: int, limit: int = 50) -> DistFillResult:
     """Gram determinants and parities of the sublattices orthogonal to
     the two distinguished configurations with family parameter n >= 0.
 
-    No complement basis is built.  _complement_invariants takes the
+    No complement basis is built.  _span_invariants takes the
     saturated span S of each class list from the Smith form of the
     class rows themselves (never from a guessed basis), and reads the
     complement's rank, signature, signed determinant and elementary

@@ -1,12 +1,16 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from unittest.mock import Mock, patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusfill import cli, fillings, lattice
@@ -14,6 +18,8 @@ from torusfill.blowup import dominates
 from torusfill.cli import _parse_gram, main, parse_string_arg, run
 from torusfill.divisor import divisor_from_dict, divisor_to_dict, dual_graph, realize_cap
 from torusfill.errors import DomainError
+from torusfill.lattice import cycle_graph_gram, tree_graph_gram
+from torusfill.sl2z import is_standard_string
 
 from test_blowup import iter_blowup_paths, level_blowups
 
@@ -499,3 +505,119 @@ def test_fuzz_every_verb(verb_args, limit, as_json, name, junk, json_first):
     assert "Traceback" not in err, argv
     if status:
         assert out == "", argv
+
+
+# --- the report writer against json.dumps -------------------------------------
+
+def dumps(value):
+    """The oracle: cli._json_text must print exactly this."""
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_CHARS = st.one_of(
+    st.characters(),
+    st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
+    st.sampled_from('"\\\x00\x08\x1f\x7f\n\t\u2028\xe9\U0001f600'),
+)
+_TEXT = st.text(_CHARS, max_size=6)
+_INTS = st.one_of(st.integers(), st.integers(-10 ** 3000, 10 ** 3000))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _INTS, _TEXT, st.floats(),
+    # bools among ints, which the all-int join must not take
+    st.lists(st.one_of(_INTS, st.booleans()), max_size=5),
+)
+_VALUES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, kids, max_size=4),
+    st.dictionaries(_INTS, kids, max_size=3),  # json.dumps' own key rules
+), max_leaves=25)
+
+
+@given(_VALUES)
+@example([1, True])
+@example({"": [], "a": {}, "b": ()})
+@example({"\ud800\"\\\x01\xe9": ["\U0001f600"]})
+@settings(max_examples=400, deadline=None)
+def test_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == dumps(value)
+
+
+class _Str(str):
+    pass
+
+
+@pytest.mark.parametrize("depth", range(5))
+@pytest.mark.parametrize("leaf", [1.5, float("nan"), {2: [1], 1: {}}, _Str("x"), [1, 2.0]])
+def test_writer_hands_other_values_to_json_dumps(depth, leaf):
+    value = leaf
+    for i in range(depth):
+        value = [0, value] if i % 2 else {"b": value, "a": [1]}
+    want = dumps(value)
+    with patch.object(cli.json, "dumps", wraps=json.dumps) as fallback:
+        assert cli._json_text(value) == want
+    assert fallback.call_count == 1
+
+
+def _standard_grid():
+    """Standard strings with entries 2..5, length <= 5 and sum <= 14."""
+    return [d for n in range(1, 6) for d in itertools.product(range(2, 6), repeat=n)
+            if sum(d) <= 14 and is_standard_string(d)]
+
+
+def _csv(values):
+    return ",".join(map(str, values))
+
+
+def _gram_arg(rows):
+    return "--gram=" + ";".join(map(_csv, rows))
+
+
+_DENSE = [[3, -1, 4, 0], [-1, -5, 9, 2], [4, 9, 2, -6], [0, 2, -6, 5]]
+
+_REPORT_GRID = (
+    [[verb, "--d=" + _csv(d)] for d in _standard_grid()
+     for verb in ("fillings", "cap", "classify", "embed", "contact")]
+    + [["distfill", "--n=%d" % n] for n in range(21)]
+    + [["parabolic", "--n=%d" % n] for n in range(-7, 5)]
+    + [["cap", "--n=%d" % n] for n in range(-7, 5)]
+    + [["cap", "--c1=%d" % c] for c in range(3, 9)]
+    + [["cap", "--elliptic", side, "--epsilon=%d" % e]
+       for side in ("left", "right") for e in (-1, 0, 1)]
+    + [["lattice", _gram_arg(cycle_graph_gram(w))]
+       for w in ((-2, -3), (-3, -3, -4), (-2, -2, -5, -3))]
+    + [["lattice", _gram_arg(tree_graph_gram((-2, -3, -2, -4), [(0, 1), (1, 2), (1, 3)]))]]
+    + [["lattice", _gram_arg(_DENSE)], ["lattice", _gram_arg([[0, 2], [2, 4]])]]
+)
+
+
+def test_every_report_is_printed_as_json_dumps_prints_it(capsys, monkeypatch):
+    written = []
+    writer = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda report: written.append(report) or writer(report))
+    printed = 0
+    for argv in _REPORT_GRID:
+        status, out, _ = capture(capsys, argv + ["--json"])
+        if status:
+            assert out == "" and not written, argv
+            continue
+        report, = written
+        assert out == dumps(report) + "\n", argv
+        written.clear()
+        printed += 1
+    assert printed > 1700
+
+
+@pytest.mark.parametrize("json_flag", [["--json"], []])
+def test_closed_pipe_exits_1_without_traceback(json_flag):
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torusfill", "fillings", "--d", "3,3,4,3,2,3"] + json_flag,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    proc.stdout.close()  # the reader is gone before anything is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""  # no traceback, no "Exception ignored" at exit

@@ -9,6 +9,7 @@ from torusfill.divisor import (
     CP2,
     S2XS2,
     Divisor,
+    HClass,
     blowup_node_total,
     cycle_cap_from_path,
     divisor_to_dict,
@@ -437,6 +438,16 @@ def _family_configurations_oracle(n):
     return amb, first, second
 
 
+FALLBACK_INPUTS = [
+    # the total is not the anticanonical class
+    (Ambient(CP2, 9), [c.coords for c in _family_configurations(0)[1][:-1]]),
+    # anticanonical, but the span is degenerate: K^2 = 0 in CP2#9
+    (Ambient(CP2, 9), [Ambient(CP2, 9).anticanonical().coords]),
+    # a blown-up product of spheres, with total 2s + 2f - e1
+    (Ambient(S2XS2, 1), [(1, 0, 0), (1, 1, 0), (0, 1, -1)]),
+]
+
+
 def _complement_route(amb, rows):
     return lattice_invariants(orthogonal_complement(amb.gram(), rows))
 
@@ -492,18 +503,28 @@ class TestComplementInvariants:
             count += 1
         assert count > 800
 
-    @pytest.mark.parametrize("amb, rows", [
-        # the total is not the anticanonical class
-        (Ambient(CP2, 9), [c.coords for c in _family_configurations(0)[1][:-1]]),
-        # anticanonical, but the span is degenerate: K^2 = 0 in CP2#9
-        (Ambient(CP2, 9), [Ambient(CP2, 9).anticanonical().coords]),
-        # a blown-up product of spheres, with total 2s + 2f - e1
-        (Ambient(S2XS2, 1), [(1, 0, 0), (1, 1, 0), (0, 1, -1)]),
-    ])
+    @pytest.mark.parametrize("amb, rows", FALLBACK_INPUTS)
     def test_fallback_takes_complement_route(self, amb, rows, complement_calls):
         inv = _complement_invariants(amb, rows)
         assert complement_calls == [amb.rank]
         assert inv == _complement_route(amb, rows)
+
+    @pytest.mark.parametrize("amb, rows", FALLBACK_INPUTS + [
+        # h - e1 spans its own complement in CP2#1: a radical of rank 1
+        (Ambient(CP2, 1), [(1, -1)]),
+    ])
+    def test_fallback_builds_the_complement_once(self, amb, rows, complement_calls):
+        div = Divisor(amb, tuple(HClass(amb, r) for r in rows),
+                      tuple("C%d" % i for i in range(len(rows))))
+        got = complement_invariants(div)
+        assert complement_calls == [amb.rank]
+        # the earlier route: invariants of the complement, and when they
+        # show a radical, the quotient of a second complement
+        inv = _complement_route(amb, rows)
+        if inv.signature[2]:
+            assert got == radical_and_quotient(orthogonal_complement(amb.gram(), rows))
+        else:
+            assert got == (0, inv)
 
     def test_degenerate_complement_reports_radical(self):
         amb = Ambient(CP2, 9)
