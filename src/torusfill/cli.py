@@ -20,7 +20,7 @@ import time
 
 from . import fillings as fil
 from . import lattice as lat
-from .blowup import embeddability_witness
+from .blowup import DEFAULT_LIMIT, embeddability_witness
 from .divisor import (
     cycle_monodromy,
     divisor_to_dict,
@@ -279,8 +279,6 @@ def _solution_dict(sol: fil.ParabolicSolution):
 
 def _report_parabolic(args):
     n = args.n
-    if n is None:
-        raise DomainError("parabolic needs --n")
     raw = fil.parabolic_solutions_raw(n)
     solutions = fil._filter_parabolic(n, raw)
     report = {
@@ -458,8 +456,8 @@ def _build_parser(verbs):
         p = sub.add_parser(verb, help=help_text)
         add_args(p)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--limit", type=int, default=14,
-                       help="enumeration resource cap (default 14)")
+        p.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
+                       help="enumeration resource cap (default %d)" % DEFAULT_LIMIT)
         p.add_argument("--seed", type=int, default=None,
                        help="unused; all computations are deterministic")
     return parser

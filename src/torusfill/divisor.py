@@ -33,7 +33,14 @@ import json
 from dataclasses import dataclass
 from operator import mul
 
-from .blowup import EmbeddingWitness, blowup_at, dominates, embeddability_witness, path_to
+from .blowup import (
+    DEFAULT_LIMIT,
+    EmbeddingWitness,
+    blowup_at,
+    dominates,
+    embeddability_witness,
+    path_to,
+)
 from .errors import DomainError
 from .sl2z import Mat2, monodromy, orientation_reversal
 
@@ -466,7 +473,8 @@ def cycle_cap_from_path(weights, path) -> Divisor:
     return div
 
 
-def hyperbolic_cycle_cap(d, witness: EmbeddingWitness | None = None, limit: int = 14) -> Divisor:
+def hyperbolic_cycle_cap(d, witness: EmbeddingWitness | None = None,
+                         limit: int = DEFAULT_LIMIT) -> Divisor:
     """Cap for an embeddable standard string d: realize the cycle with
     weights (+1, 1 - c_1, ..., 1 - c_l) for c the orientation reversal
     of d, replaying the witness blowup sequence node by node.

@@ -21,10 +21,12 @@ Three computations live here.
   determinants, computed from scratch for every family parameter and
   compared against the closed formulas (-1)^(N+1) (9N+20) and
   (-1)^(N+1) 9 (9N+20).  The complement invariants of these and of the
-  census configurations come from the configuration side: the ambient
-  lattice is unimodular, so a nondegenerate saturated span and its
-  complement share their discriminant group (_span_invariants
-  gives the argument).
+  census configurations all go through complement_invariants, which
+  reads them off the configuration side: the ambient lattice is
+  unimodular, so a nondegenerate saturated span and its complement
+  share their discriminant group (_span_invariants gives the
+  argument).  Where a hypothesis fails, its fallback is one
+  radical_and_quotient of the built complement.
 
 Contact-structure counting is integer bookkeeping: rotation-number
 tuples with one entry from {-(d_j - 2), ..., d_j - 2} in steps of two
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from math import prod
 from operator import mul
 
-from .blowup import dominated_blowups
+from .blowup import DEFAULT_LIMIT, dominated_blowups
 from .divisor import (
     CP2,
     S2XS2,
@@ -59,7 +61,6 @@ from .lattice import (
     EVEN,
     LatticeInvariants,
     gram_invariants,
-    lattice_invariants,
     orthogonal_complement,
     radical_and_quotient,
     smith_normal_form,
@@ -134,7 +135,7 @@ def _canonical_configuration(div: Divisor):
     return min(variants)
 
 
-def hyperbolic_filling_census(d, limit: int = 14) -> CensusResult:
+def hyperbolic_filling_census(d, limit: int = DEFAULT_LIMIT) -> CensusResult:
     """Betti bookkeeping and configuration count for the fillings of the
     hyperbolic bundle of an embeddable standard string d.
 
@@ -430,7 +431,7 @@ _FAMILY_SECOND = (
 )
 
 
-def _family_configurations(n: int):
+def family_configuration_divisors(n: int):
     """The two seven-sphere cycle configurations in a 9 + n fold blowup
     of the plane sharing one dual graph; the extra n blowups sit on the
     third sphere of each cycle.
@@ -447,21 +448,12 @@ def _family_configurations(n: int):
     the others.
     """
     amb = Ambient(CP2, 9 + n)
-
-    def classes(table):
-        return [HClass(amb, row + ((-1,) if k == 2 else (0,)) * n) for k, row in enumerate(table)]
-
-    return amb, classes(_FAMILY_FIRST), classes(_FAMILY_SECOND)
-
-
-def _complement_invariants(amb: Ambient, rows) -> LatticeInvariants:
-    """lattice_invariants of the orthogonal complement of the classes
-    with coordinate tuples `rows` in `amb`: _span_invariants when its
-    hypotheses hold, else from the complement itself."""
-    inv = _span_invariants(amb, rows)
-    if inv is None:
-        return lattice_invariants(orthogonal_complement(amb.gram(), rows))
-    return inv
+    labels = tuple("C%d" % i for i in range(7))
+    return tuple(
+        Divisor(amb, tuple(HClass(amb, row + ((-1,) if k == 2 else (0,)) * n)
+                           for k, row in enumerate(table)), labels, marked=0)
+        for table in (_FAMILY_FIRST, _FAMILY_SECOND)
+    )
 
 
 def _span_invariants(amb: Ambient, rows):
@@ -540,21 +532,20 @@ def complement_invariants(configuration: Divisor):
     nondegenerate quotient by the radical, as radical_and_quotient
     gives them.
 
+    This is the one route from a class list to its complement
+    invariants; the census and both distfill configurations take it.
     For an anticanonical configuration in a blown-up plane with a
-    nondegenerate span, such as every hyperbolic cycle cap, the
-    complement is nondegenerate and _span_invariants reads its
-    invariants off the configuration side; otherwise the complement is
-    built, once."""
+    nondegenerate span, such as every hyperbolic cycle cap and both
+    family configurations, the complement is nondegenerate and
+    _span_invariants reads its invariants off the configuration side,
+    never from a guessed basis.  Otherwise the complement is built once
+    and goes through one radical_and_quotient."""
     amb = configuration.ambient
     rows = [c.coords for c in configuration.components]
     inv = _span_invariants(amb, rows)
     if inv is not None:
         return 0, inv
-    sub = orthogonal_complement(amb.gram(), rows)
-    inv = lattice_invariants(sub)
-    if inv.signature[2] == 0:
-        return 0, inv
-    return radical_and_quotient(sub)
+    return radical_and_quotient(orthogonal_complement(amb.gram(), rows))
 
 
 def census_complement_invariants(census: CensusResult) -> frozenset:
@@ -582,25 +573,28 @@ def distfill_family(n: int, limit: int = 50) -> DistFillResult:
     """Gram determinants and parities of the sublattices orthogonal to
     the two distinguished configurations with family parameter n >= 0.
 
-    No complement basis is built.  _span_invariants takes the
-    saturated span S of each class list from the Smith form of the
-    class rows themselves (never from a guessed basis), and reads the
-    complement's rank, signature, signed determinant and elementary
-    divisors off the 7 x 7 Gram of S, its parity off the anticanonical
-    total class: the ambient is unimodular, so S and its complement
-    share their discriminant group.  The rank is asserted to be n + 3,
-    and the determinants are compared against the closed formulas
-    (-1)^(n+1) (9n + 20) and (-1)^(n+1) 9 (9n + 20); a mismatch is
-    reported in matches_formula rather than asserted away.
+    Both configurations of family_configuration_divisors go through
+    complement_invariants, and no complement basis is built:
+    _span_invariants takes the saturated span S of each class list from
+    the Smith form of the class rows themselves (never from a guessed
+    basis), and reads the complement's rank, signature, signed
+    determinant and elementary divisors off the 7 x 7 Gram of S, its
+    parity off the anticanonical total class: the ambient is
+    unimodular, so S and its complement share their discriminant group.
+    Were a hypothesis to fail, the fallback would be one
+    radical_and_quotient of the built complement.  The radical rank is
+    asserted to be 0 and the rank n + 3, and the determinants are
+    compared against the closed formulas (-1)^(n+1) (9n + 20) and
+    (-1)^(n+1) 9 (9n + 20); a mismatch is reported in matches_formula
+    rather than asserted away.
     """
     if n < 0:
         raise DomainError("family parameter must be nonnegative")
     if n > limit:
         raise ResourceLimitError("family parameter %d exceeds limit %d" % (n, limit))
-    amb, first, second = _family_configurations(n)
-    inv1 = _complement_invariants(amb, [c.coords for c in first])
-    inv2 = _complement_invariants(amb, [c.coords for c in second])
-    assert inv1.rank == n + 3 and inv2.rank == n + 3
+    (radical1, inv1), (radical2, inv2) = map(complement_invariants,
+                                             family_configuration_divisors(n))
+    assert radical1 == radical2 == 0 and inv1.rank == inv2.rank == n + 3
     f1 = (-1) ** (n + 1) * (9 * n + 20)
     f2 = (-1) ** (n + 1) * 9 * (9 * n + 20)
     return DistFillResult(
@@ -614,17 +608,6 @@ def distfill_family(n: int, limit: int = 50) -> DistFillResult:
         matches_formula=inv1.det == f1 and inv2.det == f2,
         invariants1=inv1,
         invariants2=inv2,
-    )
-
-
-def family_configuration_divisors(n: int):
-    """The two family configurations as divisors (for reports and
-    cross-checks)."""
-    amb, first, second = _family_configurations(n)
-    labels = tuple("C%d" % i for i in range(7))
-    return (
-        Divisor(amb, tuple(first), labels, marked=0),
-        Divisor(amb, tuple(second), labels, marked=0),
     )
 
 

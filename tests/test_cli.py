@@ -106,6 +106,13 @@ CAP_CASES = [
     (["--elliptic", "right", "--epsilon", "2"], "elliptic-right", {"epsilon": 2}),
 ]
 
+# refusals of a verb whose options argparse accepts but the verb cannot use
+REFUSALS = [
+    (["cap", "--elliptic", "left"], "--elliptic needs --epsilon"),
+    (["distfill"], "distfill needs --n (family parameter)"),
+    (["lattice"], "lattice needs --gram 'a,b;c,d'"),
+]
+
 
 class TestCap:
     def test_cycle_cap_round_trip(self, capsys):
@@ -129,8 +136,15 @@ class TestCap:
         assert report["dual_graph"]["weights"] == [1, 0, 0]
 
     def test_needs_exactly_one_family(self, capsys):
-        status, out, err = capture(capsys, ["cap", "--json"])
-        assert status == 1
+        for argv in (["cap", "--json"], ["cap", "--n", "1", "--c1", "3"]):
+            assert capture(capsys, argv) == (
+                1, "", "error: cap needs exactly one of --d, --c1, --n, --elliptic\n")
+
+    @pytest.mark.parametrize("argv, message", REFUSALS,
+                             ids=[" ".join(argv) for argv, _ in REFUSALS])
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_refusals_name_the_missing_option(self, capsys, argv, message, mode):
+        assert capture(capsys, argv + mode) == (1, "", "error: %s\n" % message)
 
     @pytest.mark.parametrize("argv, kind, params", CAP_CASES,
                              ids=[" ".join(argv) for argv, _, _ in CAP_CASES])

@@ -38,8 +38,6 @@ from torusfill.fillings import (
 )
 from torusfill.fillings import (
     _canonical_configuration,
-    _complement_invariants,
-    _family_configurations,
     _filter_parabolic,
     _raw_cp2,
     _raw_s2xs2,
@@ -440,7 +438,7 @@ def _family_configurations_oracle(n):
 
 FALLBACK_INPUTS = [
     # the total is not the anticanonical class
-    (Ambient(CP2, 9), [c.coords for c in _family_configurations(0)[1][:-1]]),
+    (Ambient(CP2, 9), [c.coords for c in family_configuration_divisors(0)[0].components[:-1]]),
     # anticanonical, but the span is degenerate: K^2 = 0 in CP2#9
     (Ambient(CP2, 9), [Ambient(CP2, 9).anticanonical().coords]),
     # a blown-up product of spheres, with total 2s + 2f - e1
@@ -477,37 +475,37 @@ def _census_configurations():
 class TestComplementInvariants:
     @pytest.mark.parametrize("n", range(61))
     def test_family_rows_match_class_arithmetic(self, n):
-        assert _family_configurations(n) == _family_configurations_oracle(n)
+        amb, *confs = _family_configurations_oracle(n)
+        divisors = family_configuration_divisors(n)
+        assert [div.ambient for div in divisors] == [amb, amb]
+        assert [list(div.components) for div in divisors] == confs
 
     @pytest.mark.parametrize("n", (100, 200))
     def test_family_matches_complement_route(self, n, complement_calls):
-        amb, first, second = _family_configurations(n)
-        for conf in (first, second):
-            rows = [c.coords for c in conf]
-            inv = _complement_invariants(amb, rows)
+        for div in family_configuration_divisors(n):
+            radical, inv = complement_invariants(div)
             assert not complement_calls
-            assert inv == _complement_route(amb, rows)
+            assert radical == 0
+            assert inv == _complement_route(div.ambient, [c.coords for c in div.components])
             assert inv.rank == n + 3
+
+    def test_distfill_never_builds_a_complement(self, complement_calls):
+        for n in range(61):
+            distfill_family(n, limit=60)
+        assert complement_calls == []
 
     def test_census_configurations_match_complement_route(self, complement_calls):
         # every hyperbolic cycle cap is anticanonical with a nondegenerate
         # span, so none of them leaves the configuration side
         count = 0
         for cap in _census_configurations():
-            rows = [c.coords for c in cap.components]
-            inv = _complement_invariants(cap.ambient, rows)
+            radical, inv = complement_invariants(cap)
             assert not complement_calls
-            sub = orthogonal_complement(cap.ambient.gram(), rows)
+            sub = orthogonal_complement(cap.ambient.gram(), [c.coords for c in cap.components])
             assert inv == lattice_invariants(sub)
-            assert complement_invariants(cap) == radical_and_quotient(sub) == (0, inv)
+            assert radical_and_quotient(sub) == (radical, inv) == (0, inv)
             count += 1
         assert count > 800
-
-    @pytest.mark.parametrize("amb, rows", FALLBACK_INPUTS)
-    def test_fallback_takes_complement_route(self, amb, rows, complement_calls):
-        inv = _complement_invariants(amb, rows)
-        assert complement_calls == [amb.rank]
-        assert inv == _complement_route(amb, rows)
 
     @pytest.mark.parametrize("amb, rows", FALLBACK_INPUTS + [
         # h - e1 spans its own complement in CP2#1: a radical of rank 1

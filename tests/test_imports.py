@@ -1,10 +1,15 @@
-"""Every name a torusfill module imports is used in that module.
+"""Every name a torusfill module imports is used in that module, and
+every private helper it defines is used in the package.
 
-A name counts as used when it is read anywhere in the module or listed
-in its __all__; the package __init__ is exempt, since its imports are
-the package's re-exports."""
+An imported name counts as used when it is read anywhere in the module
+or listed in its __all__; the package __init__ is exempt, since its
+imports are the package's re-exports.  A module-level private name
+(a def, class or assignment of `_x`) counts as used when some module of
+the package reads it, as a name or as an attribute, outside its own
+definition; a helper only the tests need belongs in the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,3 +53,60 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     source = "import os\nfrom math import gcd, prod\n__all__ = ['gcd']\nprint(os)\n"
     assert unused_imports(source) == [(2, "prod")]
+
+
+def private_definitions(tree):
+    """(name, defining node) for each module-level def, class or
+    assignment of a private, non-dunder name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def reads(node):
+    """How often each name is read under node, as a name or an attribute."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            counts[sub.attr] += 1
+    return counts
+
+
+def dead_helpers(sources):
+    """(module, name) for each private definition in the {module: source}
+    package that no read outside its own definition reaches."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum(map(reads, trees.values()), Counter())
+    return sorted(
+        (module, name)
+        for module, tree in trees.items()
+        for name, node in private_definitions(tree)
+        if total[name] == reads(node)[name]
+    )
+
+
+def test_no_dead_helpers():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert dead_helpers(sources) == []
+
+
+def test_detects_dead_helper():
+    sources = {
+        "a": "_LIMIT, _unread = 3, 4\n"
+             "def _recursive(n):\n"
+             "    return n if n > _LIMIT else _recursive(n + 1)\n"
+             "class _Used:\n"
+             "    pass\n",
+        "b": "import a\nprint(a._Used)\n",
+    }
+    assert dead_helpers(sources) == [("a", "_recursive"), ("a", "_unread")]

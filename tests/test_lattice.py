@@ -33,7 +33,7 @@ from torusfill.lattice import (
     tree_graph_gram,
 )
 from torusfill import lattice
-from torusfill.fillings import _family_configurations, distfill_family
+from torusfill.fillings import distfill_family, family_configuration_divisors
 from torusfill.sl2z import monodromy, torus_bundle_h1
 
 
@@ -710,11 +710,9 @@ def low_rank_matrices(draw, max_size=8):
 def distfill_oracle_path(n):
     """Complement bases, Gram matrices and invariants of both family
     configurations through the dense oracles."""
-    amb, first, second = _family_configurations(n)
-    gram = amb.gram()
     out = []
-    for conf in (first, second):
-        sub = dense_orthogonal_complement(gram, [c.coords for c in conf])
+    for div in family_configuration_divisors(n):
+        sub = dense_orthogonal_complement(div.ambient.gram(), [c.coords for c in div.components])
         g = dense_gram_matrix(sub)
         d, _, _ = dense_smith_normal_form(g)
         det, sig = _sym_eliminate(g)
@@ -757,9 +755,8 @@ class TestZeroSkippingKernel:
     def test_distfill_matches_dense_oracle(self, n):
         res = distfill_family(n, limit=60)
         (basis1, g1, inv1), (basis2, g2, inv2) = distfill_oracle_path(n)
-        amb, first, second = _family_configurations(n)
-        for conf, basis, g in ((first, basis1, g1), (second, basis2, g2)):
-            sub = orthogonal_complement(amb.gram(), [c.coords for c in conf])
+        for div, basis, g in zip(family_configuration_divisors(n), (basis1, basis2), (g1, g2)):
+            sub = orthogonal_complement(div.ambient.gram(), [c.coords for c in div.components])
             assert sub.basis == basis
             assert gram_matrix(sub) == g
         assert (res.invariants1, res.invariants2) == (inv1, inv2)
