@@ -3,21 +3,23 @@
 Matrices are sequences of equal-length rows of Python integers; results
 are returned as tuples of tuples.  Everything is exact: Smith normal
 form with its unimodular transforms, saturated kernels, Gram
-determinants, parity and signature.  Determinant, signature and
-negative definiteness of a symmetric form come from one fraction-free
-symmetric (Bareiss) elimination pass over the integers.  The radical of
-a degenerate form and a complement to it come from the same Smith
-transform, so no matrix is ever inverted.  Matrix products, Gram
-matrices, pairings and the re-check of every Smith transform multiply
-only nonzero entries, and the Smith elimination skips the rows and
-entries that a step leaves unchanged; the transforms are, bit for bit,
-those of the dense elimination.  Nothing here ever touches floating
-point, and unbounded integers rule out overflow.
+determinants, parity and signature.  The determinant of any square
+matrix, and the signature and negative definiteness of a symmetric
+form, come from one fraction-free symmetric (Bareiss) elimination pass
+over the integers.  The radical of a degenerate form and a complement
+to it come from the same Smith transform, so no matrix is ever
+inverted.  Matrix products, Gram matrices, pairings and the re-check of
+every Smith transform multiply only nonzero entries, and the Smith
+elimination skips the rows and entries that a step leaves unchanged;
+the transforms are, bit for bit, those of the dense elimination.
+Nothing here ever touches floating point, and unbounded integers rule
+out overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import DomainError
 
@@ -238,7 +240,7 @@ def cokernel_invariants(mat):
     """(free rank, torsion divisors) of the cokernel of the map Z^cols ->
     Z^rows given by the matrix."""
     rows = tuple(mat)
-    return _cokernel_from_diagonal(len(rows), smith_diagonal(rows) if rows else ())
+    return _cokernel_from_diagonal(len(rows), smith_diagonal(rows))
 
 
 def _cokernel_from_diagonal(nrows, diag):
@@ -276,33 +278,38 @@ def _smith_kernel(rows, d, v):
     return rank, tuple(basis)
 
 
-def determinant(mat):
-    """Exact determinant by Bareiss fraction-free elimination."""
+def _square(mat, message):
+    """A copy of the matrix as lists, or DomainError(message) when it is
+    not square."""
     a = _copy(mat)
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
-        raise DomainError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    if any(len(row) != len(a) for row in a):
+        raise DomainError(message)
+    return a
+
+
+def determinant(mat):
+    """Exact determinant, from the fraction-free elimination pass that
+    also gives the signature of a symmetric form (see _eliminate)."""
+    return _eliminate(_square(mat, "determinant of a non-square matrix"))[0]
 
 
 def _sym_eliminate(gram):
     """(det, (pos, neg, zero)) of a symmetric integer matrix from one
-    fraction-free symmetric elimination pass.
+    fraction-free symmetric elimination pass (see _eliminate)."""
+    a = _square(gram, "symmetric form expected, got a non-square matrix")
+    n = len(a)
+    for i in range(n):
+        for j in range(i):
+            if a[i][j] != a[j][i]:
+                raise DomainError("symmetric form expected, got a non-symmetric matrix")
+    return _eliminate(a)
+
+
+def _eliminate(a):
+    """(det, (pos, neg, zero)) from one fraction-free elimination pass
+    over the square list-of-lists matrix a, which it overwrites.  The
+    determinant is right for every square matrix; the inertia is that
+    of a, read as a form, when a is symmetric.
 
     This is Bareiss elimination under congruence.  Once the pivots of a
     set L of indices are processed, each trailing entry a_ij is the
@@ -314,35 +321,33 @@ def _sym_eliminate(gram):
     with the whole trailing block, so it counts towards the radical and
     is skipped without becoming the previous pivot.
 
-    By Jacobi's rule the pivot's diagonal entry in the congruent
-    diagonal form has the sign of a_kk times the previous pivot.  Swaps
-    and the row addition leave the determinant unchanged, so it is the
-    last pivot, or 0 when some index was skipped.
+    The determinant needs no symmetry.  A symmetric swap is a
+    similarity by a permutation, and adding row o to row k keeps the
+    determinant.  Minors are linear in each row, so after the addition
+    every later trailing entry is the Bareiss minor of the modified
+    matrix, and the divisions stay exact.  A skipped index k has a zero
+    column in the trailing block, which is the Schur complement of L
+    times the previous pivot, so the determinant is 0.  Otherwise it is
+    the last pivot, the minor of all indices.
 
-    The row addition needs no matching column addition: with it, the
-    steps at k and k + 1 pivot the hyperbolic plane spanned by k and o.
-    Before it the trailing block is symmetric, every trailing diagonal
-    entry is 0 and a_ik = 0 for k < i < o.  The step at k, with pivot x
-    over the previous pivot p, leaves a_oo = (0 * x - x * (x + 0)) / p =
-    -x^2 / p != 0 and a_ii = (0 * x - 0 * (a_ki + a_oi)) / p = 0 for
-    k < i < o, so the step at k + 1 pivots o, swapped in if o > k + 1.
-    The signs of x * p and -x^3 / p differ, so the two pivots count one
-    positive and one negative index, the inertia of the plane.  Every
-    entry is a minor of the matrix with row o added to row k.  Once k
-    and o are both processed, each such minor contains rows k and o, so
-    it equals the minor of the symmetric matrix before the addition, and
-    so does the new previous pivot -x^2 / p.  The trailing block is then
-    again the symmetric one described above, the divisions stay exact,
-    and no index is skipped at k + 1, so the determinant rule holds too.
+    By Jacobi's rule the pivot's diagonal entry in the congruent
+    diagonal form of a symmetric matrix has the sign of a_kk times the
+    previous pivot.  The row addition needs no matching column addition:
+    with it, the steps at k and k + 1 pivot the hyperbolic plane spanned
+    by k and o.  Before it the trailing block is symmetric, every
+    trailing diagonal entry is 0 and a_ik = 0 for k < i < o.  The step
+    at k, with pivot x over the previous pivot p, leaves a_oo =
+    (0 * x - x * (x + 0)) / p = -x^2 / p != 0 and a_ii = (0 * x - 0 *
+    (a_ki + a_oi)) / p = 0 for k < i < o, so the step at k + 1 pivots o,
+    swapped in if o > k + 1.  The signs of x * p and -x^3 / p differ, so
+    the two pivots count one positive and one negative index, the
+    inertia of the plane.  Once k and o are both processed, each minor
+    contains rows k and o, so it equals the minor of the symmetric
+    matrix before the addition, and so does the new previous pivot
+    -x^2 / p.  The trailing block is then again the symmetric one
+    described above, and no index is skipped at k + 1.
     """
-    a = _copy(gram)
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise DomainError("symmetric form expected, got a non-square matrix")
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise DomainError("symmetric form expected, got a non-symmetric matrix")
     pos = neg = zero = 0
     prev = 1
     for k in range(n):
@@ -471,12 +476,18 @@ def gram_matrix(sub: Sublattice):
 def gram_invariants(gram) -> LatticeInvariants:
     """Invariants of an explicit symmetric Gram matrix."""
     rows = tuple(tuple(map(int, r)) for r in gram)
-    return _gram_invariants(rows, smith_diagonal(rows) if rows else ())
+    return _gram_invariants(rows, smith_diagonal(rows))
 
 
 def _gram_invariants(rows, diag):
-    """gram_invariants of integer rows whose Smith diagonal is known."""
+    """gram_invariants of integer rows whose Smith diagonal is known.
+
+    The two eliminations check each other: |det| is the product of a
+    full Smith diagonal, which is 0 when the diagonal has a zero, and
+    det is 0 when the diagonal is short."""
     det, sig = _sym_eliminate(rows)
+    full = len(diag) == len(rows)
+    assert abs(det) == (prod(diag) if full else 0), "determinant and Smith diagonal disagree"
     divisors = tuple(x for x in diag if x > 1)
     return LatticeInvariants(len(rows), det, parity(rows), sig, divisors)
 

@@ -22,6 +22,7 @@ from torusfill.lattice import cycle_graph_gram, tree_graph_gram
 from torusfill.sl2z import is_standard_string
 
 from test_blowup import iter_blowup_paths, level_blowups
+from test_lattice import bareiss_determinant, fraction_signature
 
 
 def capture(capsys, argv):
@@ -245,6 +246,20 @@ class TestDistFill:
         _, second, _ = capture(capsys, ["distfill", "--n", "2", "--json"])
         assert first == second
 
+    # the family bound is max(--limit, 50): the default 14 and any lower
+    # --limit allow n up to 50, and only a --limit above 50 raises it
+    @pytest.mark.parametrize("argv", [["--n", "50"], ["--n", "40", "--limit", "3"],
+                                      ["--n", "60", "--limit", "60"]])
+    def test_limit_is_at_least_50(self, capsys, argv):
+        status, out, err = capture(capsys, ["distfill"] + argv + ["--json"])
+        assert (status, err) == (0, "")
+        assert json.loads(out)["n"] == int(argv[1])
+
+    def test_past_50_refused_at_default_limit(self, capsys):
+        status, out, err = capture(capsys, ["distfill", "--n", "51"])
+        assert (status, out) == (1, "")
+        assert err == "error: family parameter 51 exceeds limit 50\n"
+
 
 class TestContactVerb:
     def test_counts(self, capsys):
@@ -279,9 +294,9 @@ class TestLatticeVerb:
         gram = ((-2, 1, 0), (1, -2, 3), (0, 3, 4))
         assert report["invariants"] == {
             "rank": 3,
-            "det": lattice.determinant(gram),
+            "det": bareiss_determinant(gram),
             "parity": "even",
-            "signature": list(lattice.signature(gram)),
+            "signature": list(fraction_signature(gram)),
             "elementary_divisors": [30],
         }
 

@@ -6,7 +6,11 @@ or listed in its __all__; the package __init__ is exempt, since its
 imports are the package's re-exports.  A module-level private name
 (a def, class or assignment of `_x`) counts as used when some module of
 the package reads it, as a name or as an attribute, outside its own
-definition; a helper only the tests need belongs in the tests."""
+definition; a helper only the tests need belongs in the tests.
+
+The modules are layered: each imports from the package only modules
+that come before it in LAYERS.  The package __init__ and __main__ are
+exempt, since they exist to import the others."""
 
 import ast
 from collections import Counter
@@ -110,3 +114,55 @@ def test_detects_dead_helper():
         "b": "import a\nprint(a._Used)\n",
     }
     assert dead_helpers(sources) == [("a", "_recursive"), ("a", "_unread")]
+
+
+LAYERS = ("errors", "sl2z", "blowup", "lattice", "divisor", "fillings", "cli")
+
+
+def package_imports(tree):
+    """The package modules that a module imports from, whether by a
+    relative or an absolute import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] == "torusfill":
+                parts = parts[1:]
+            elif node.level != 1:
+                continue
+            if parts and parts[0]:
+                yield parts[0]
+            else:  # from . import x
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "torusfill" and len(parts) > 1:
+                    yield parts[1]
+
+
+def layering_violations(sources):
+    """(module, imported module) for each package import, in the
+    {module: source} modules of LAYERS, of a module not before it."""
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    return sorted(
+        (module, dep)
+        for module, source in sources.items()
+        for dep in package_imports(ast.parse(source))
+        if rank.get(dep, len(LAYERS)) >= rank[module]
+    )
+
+
+def test_modules_are_layered():
+    sources = {p.stem: p.read_text() for p in MODULES if p.stem != "__main__"}
+    assert sorted(sources) == sorted(LAYERS)
+    assert layering_violations(sources) == []
+
+
+def test_detects_layering_violation():
+    sources = {name: "" for name in LAYERS}
+    sources["sl2z"] = "from .lattice import determinant\nfrom .errors import DomainError\n"
+    sources["blowup"] = "import torusfill.cli\nfrom torusfill import sl2z\n"
+    sources["divisor"] = "from . import blowup, fillings\nfrom .obs import count\n"
+    assert layering_violations(sources) == [
+        ("blowup", "cli"), ("divisor", "fillings"), ("divisor", "obs"), ("sl2z", "lattice"),
+    ]

@@ -323,11 +323,34 @@ def fraction_signature(gram):
     return (pos, neg, zero)
 
 
+def bareiss_determinant(mat):
+    """Row-swap Bareiss fraction-free elimination (the earlier
+    determinant)."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 def sylvester_negative_definite(gram):
     """Leading-minor Sylvester test (the earlier is_negative_definite)."""
     rows = [tuple(r) for r in gram]
     for k in range(1, len(rows) + 1):
-        if determinant([row[:k] for row in rows[:k]]) * (-1) ** k <= 0:
+        if bareiss_determinant([row[:k] for row in rows[:k]]) * (-1) ** k <= 0:
             return False
     return True
 
@@ -364,11 +387,14 @@ class TestSymmetricElimination:
         assert _sym_eliminate(()) == (1, (0, 0, 0))
         assert signature(()) == (0, 0, 0)
         assert is_negative_definite(())
+        assert determinant(()) == 1
+        assert gram_invariants(()) == LatticeInvariants(0, 1, "even", (0, 0, 0), ())
+        assert cokernel_invariants(()) == (0, ())
 
     def test_hollow_needs_row_and_column_add(self):
         # every diagonal entry vanishes, so only the add move finds a pivot
         g = ((0, 1, 2), (1, 0, 3), (2, 3, 0))
-        assert _sym_eliminate(g) == (determinant(g), fraction_signature(g))
+        assert _sym_eliminate(g) == (bareiss_determinant(g), fraction_signature(g))
 
     def test_row_add_pivots_a_hyperbolic_plane(self):
         # every hollow 4x4 matrix with entries -1..1 and 5x5 with 0..1:
@@ -380,7 +406,7 @@ class TestSymmetricElimination:
                 g = [[0] * n for _ in range(n)]
                 for (i, j), x in zip(pairs, entries):
                     g[i][j] = g[j][i] = x
-                assert _sym_eliminate(g) == (determinant(g), fraction_signature(g)), g
+                assert _sym_eliminate(g) == (bareiss_determinant(g), fraction_signature(g)), g
 
     def test_radical_index_is_skipped(self):
         g = ((0, 0, 0), (0, -2, 1), (0, 1, -2))
@@ -397,7 +423,7 @@ class TestSymmetricElimination:
     def test_matches_oracles(self, g):
         det, sig = _sym_eliminate(g)
         assert sig == fraction_signature(g)
-        assert det == determinant(g)
+        assert det == bareiss_determinant(g)
         assert signature(g) == sig
         assert is_negative_definite(g) == sylvester_negative_definite(g)
         assert gram_invariants(g).det == det
@@ -417,6 +443,69 @@ class TestSymmetricElimination:
     def test_determinant_matches_sympy(self, g):
         sympy = pytest.importorskip("sympy")
         assert _sym_eliminate(g)[0] == sympy.Matrix(len(g), len(g), [x for r in g for x in r]).det()
+
+
+@st.composite
+def square_matrices(draw, max_size=7):
+    """Square matrices of size <= max_size, mostly non-symmetric: dense,
+    with a zero diagonal, or singular (a row repeated or a zero column)."""
+    n = draw(st.integers(0, max_size))
+    kind = draw(st.sampled_from(("dense", "hollow", "repeated_row", "zero_column")))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    g = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "hollow":
+        for i in range(n):
+            g[i][i] = 0
+    elif n > 1 and kind == "repeated_row":
+        i, j = draw(st.permutations(range(n)))[:2]
+        g[i] = list(g[j])
+    elif n and kind == "zero_column":
+        j = draw(st.integers(0, n - 1))
+        for row in g:
+            row[j] = 0
+    return tuple(map(tuple, g))
+
+
+class TestDeterminant:
+    def test_every_small_3x3(self):
+        # all 3^9 matrices with entries -1..1
+        for entries in itertools.product((-1, 0, 1), repeat=9):
+            m = (entries[:3], entries[3:6], entries[6:])
+            assert determinant(m) == bareiss_determinant(m), m
+
+    @given(square_matrices())
+    @example(((0, 1), (1, 0)))
+    @example(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    @example(((0, 0, 1), (0, 0, 0), (1, 0, 0)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_row_swap_bareiss(self, m):
+        assert determinant(m) == bareiss_determinant(m)
+
+    @given(square_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sympy(self, m):
+        sympy = pytest.importorskip("sympy")
+        assert determinant(m) == sympy.Matrix(len(m), len(m), [x for r in m for x in r]).det()
+
+    def test_non_square_refused(self):
+        for m in ([[1, 2]], [[]], [[1, 2], [3, 4], [5, 6]]):
+            with pytest.raises(DomainError, match="determinant of a non-square matrix"):
+                determinant(m)
+
+    def test_invariants_check_det_against_smith(self, monkeypatch):
+        g = ((-2, 1), (1, -2))
+        assert gram_invariants(g).det == 3
+        eliminate = lattice._eliminate
+
+        def off_by_one(a):
+            det, sig = eliminate(a)
+            return det + 1, sig
+
+        monkeypatch.setattr(lattice, "_eliminate", off_by_one)
+        with pytest.raises(AssertionError, match="determinant and Smith diagonal disagree"):
+            gram_invariants(g)
+        with pytest.raises(AssertionError, match="determinant and Smith diagonal disagree"):
+            gram_invariants(((1, 1), (1, 1)))
 
 
 # --- oracle for radical_and_quotient ----------------------------------------

@@ -1,10 +1,13 @@
+import functools
 import itertools
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusfill import sl2z
 from torusfill.errors import DomainError
 from torusfill.sl2z import (
     IDENTITY,
@@ -13,6 +16,9 @@ from torusfill.sl2z import (
     H1Invariants,
     Mat2,
     TraceClass,
+    _ceil_fixed_point,
+    _reduce_along_root,
+    _transpose_factor,
     classify_trace,
     cyclic_canonical,
     cyclic_equal,
@@ -273,6 +279,97 @@ class TestHyperbolicStandardForm:
             got_sign, got = hyperbolic_standard_form(u * target * u.inverse())
             assert got_sign == sign
             assert got == cyclic_canonical(d)
+
+
+def two_root_reduce_along_root(w, p, q):
+    """The expansion of one fixed point, with the early return on a
+    positive power of the period matrix (the earlier library routine)."""
+    disc = w.trace * w.trace - 4
+    sq = isqrt(disc)
+    assert sq * sq != disc
+    seen = {}
+    quotients = []
+    transforms = [IDENTITY]
+    while (p, q) not in seen:
+        seen[(p, q)] = len(quotients)
+        e = _ceil_fixed_point(p, q, sq)
+        quotients.append(e)
+        transforms.append(transforms[-1] * _transpose_factor(e))
+        p = e * q - p
+        q2, rem = divmod(p * p - disc, q)
+        assert rem == 0
+        q = q2
+    start = seen[(p, q)]
+    period = tuple(quotients[start:])
+    assert all(e >= 2 for e in period) and any(e >= 3 for e in period)
+    period_matrix = IDENTITY
+    for e in period:
+        period_matrix = period_matrix * _transpose_factor(e)
+    u = transforms[start]
+    w_reduced = u.inverse() * w * u
+    power = period_matrix
+    repeats = 1
+    while abs(power.trace) <= abs(w_reduced.trace):
+        if w_reduced == power.inverse():
+            string = period * repeats
+            conjugator = u * S
+            assert w * conjugator == conjugator * monodromy(string)
+            return string, conjugator
+        if w_reduced == power:
+            return None
+        power = power * period_matrix
+        repeats += 1
+    return None
+
+
+def two_root_standard_form(m):
+    """hyperbolic_standard_form expanding both fixed points and keeping
+    the least canonical word found (the earlier library routine)."""
+    sign = 1 if m.trace > 2 else -1
+    w = m if sign == 1 else -m
+    candidates = []
+    for root in ((w.d - w.a, -2 * w.c), (w.a - w.d, 2 * w.c)):
+        got = two_root_reduce_along_root(w, *root)
+        if got is not None:
+            candidates.append(cyclic_canonical(got[0]))
+    return sign, min(candidates)
+
+
+@functools.lru_cache(maxsize=None)
+def standard_form_inputs():
+    """Every standard string with entries 2..5 and length <= 6 at both
+    signs, then 2400 seeded random SL2(Z) conjugates of such strings."""
+    mats = []
+    for length in range(1, 7):
+        for d in itertools.product(range(2, 6), repeat=length):
+            if max(d) >= 3:
+                mats += [monodromy(d), -monodromy(d)]
+    rng = random.Random(41)
+    for _ in range(2400):
+        target = monodromy(random_string(rng, hi=5))
+        u = IDENTITY
+        for _ in range(rng.randint(1, 12)):
+            u = u * rng.choice((S, T, T.inverse()))
+        m = u * target * u.inverse()
+        mats.append(m if rng.random() < 0.5 else -m)
+    return tuple(mats)
+
+
+class TestRepellingRootOnly:
+    def test_matches_two_root_oracle(self):
+        for m in standard_form_inputs():
+            assert hyperbolic_standard_form(m) == two_root_standard_form(m), m
+
+    def test_attracting_root_yields_nothing(self):
+        for m in standard_form_inputs():
+            w = m if m.trace > 2 else -m
+            assert _reduce_along_root(w, w.a - w.d, 2 * w.c) is None, m
+            assert two_root_reduce_along_root(w, w.a - w.d, 2 * w.c) is None, m
+
+    def test_failed_reduction_is_an_assertion(self, monkeypatch):
+        monkeypatch.setattr(sl2z, "_reduce_along_root", lambda w, p, q: None)
+        with pytest.raises(AssertionError, match="continued-fraction reduction failed"):
+            hyperbolic_standard_form(monodromy((3,)))
 
 
 class TestH1:
