@@ -3,11 +3,12 @@
 Three computations live here.
 
 * The hyperbolic census: build the cycle cap of an embeddable string
-  once for each distinct blowup of (0, 0) its reversal dominates (one
-  pruned walk finds them all), deduplicate the resulting homology
-  configurations up to relabelling of exceptional classes (and
-  reflection of the cycle), and extract the Betti-number bookkeeping
-  shared by all fillings.
+  once for each distinct blowup of (0, 0) its reversal c dominates (one
+  pruned walk finds them all), up to the mirror s -> s reversed when c
+  is a palindrome: distinct endpoints give distinct homology
+  configurations up to relabelling of exceptional classes and
+  reflection of the cycle, except that mirror pair.  It then extracts
+  the Betti-number bookkeeping shared by all fillings.
 
 * The parabolic systems: exhaustive integer search for the classes of
   the two spheres of the parabolic cap inside a blown-up plane or
@@ -118,14 +119,18 @@ class CensusResult:
 
 
 def _canonical_configuration(div: Divisor):
-    """Configurations are compared up to relabelling of the exceptional
-    classes and reflection of the cycle fixing the marked component.
+    """The sort key that fixes the order of the census configurations
+    in the report.
 
-    Each ordering renumbers the classes in the order the components,
-    each read from e_1 up, first use them, unused ones last.  That is a
-    stable sort of the exceptional columns by the row of their first
-    nonzero entry, unused columns past the last row: ties keep index
-    order both ways.  The key is the smaller of the two variants."""
+    Each ordering of the components, as given and reflected fixing the
+    marked one, renumbers the exceptional classes in the order the
+    components, each read from e_1 up, first use them, unused ones
+    last.  That is a stable sort of the exceptional columns by the row
+    of their first nonzero entry, unused columns past the last row:
+    ties keep index order both ways.  The key is the smaller of the two
+    variants, so equal keys mean equal rows up to a permutation of the
+    exceptional columns, possibly after reflecting one of the two
+    configurations.  The census does not decide equality with it."""
     coords = [c.coords for c in div.components]
     variants = []
     for rows in (coords, [coords[0]] + coords[1:][::-1]):
@@ -142,15 +147,55 @@ def hyperbolic_filling_census(d, limit: int = DEFAULT_LIMIT) -> CensusResult:
     The target weight cycle is the reversal c itself (rotation 0); the
     blowup module docstring says why no other rotation is needed.
 
-    Distinct dominated endpoints can carry different homology
-    configurations, so the census builds one cap per endpoint of the
-    pruned walk dominated_blowups, from that endpoint's
-    lexicographically first chain, and deduplicates the configurations.
-    All chains to one endpoint give the same canonical configuration
-    (node blowups at different nodes commute up to relabelling of the
-    exceptional classes), and the walk yields endpoints in the order a
-    walk over every chain first reaches them, so each configuration
-    keeps the representative a chain-by-chain census would store.
+    A configuration is the cap's class matrix up to relabelling of the
+    exceptional classes and reflection of the cycle fixing the marked
+    component.  The census builds one cap per endpoint s of the pruned
+    walk dominated_blowups(c), from that endpoint's lexicographically
+    first chain, except that when c is a palindrome it skips s once
+    s reversed has been kept.  It returns the kept caps sorted by
+    _canonical_configuration.  This keeps one cap per configuration, by
+    the rule: the caps of endpoints s and s' of c are the same
+    configuration exactly when s' = s, or c is a palindrome and s' is s
+    reversed.  So with E dominated endpoints, P of them palindromes,
+    class_count_bound is E, or (E + P) / 2 when c is a palindrome.
+
+    If.  All chains to one endpoint give the same configuration: s is
+    the quiddity sequence of one triangulation (Conway and Coxeter,
+    Triangulated polygons and frieze patterns, Math. Gaz. 1973), which
+    fixes the components each node class meets, and node blowups at
+    different nodes commute up to relabelling.  The reflection fixing
+    the marked line reverses the components 1..l.  It maps the triangle
+    of lines to itself, a node blowup at position m of a sequence of
+    length n to one at position n - m of the reversed sequence, and
+    the generic classes of component i to those of component l + 1 - i.
+    So it maps the cap of (c, s) to a cap of (c reversed, s reversed),
+    up to relabelling; for a palindrome c that is the cap of (c, s
+    reversed).
+
+    Only if, first step.  The pairing diag(1, -1, ..., -1) is unchanged
+    by permuting the exceptional columns, so two caps with the same
+    configuration have, after reflecting one of them if need be, equal
+    rows up to such a permutation, and equal self-pairings row by row.
+    A cap of c has self-pairings (+1, 1 - c_1, -c_2, ..., -c_(l-1),
+    1 - c_l), and reflection reverses the last l of them.  So a
+    reflection is involved only when that sequence equals its reverse,
+    that is when c is a palindrome.
+
+    Only if, second step.  In the cap of (c, s), the number of
+    exceptional columns whose only nonzero entry lies in row i is
+    c_i - s_i.  A generic class of component i has one -1, in row i.
+    The node class e_k has +1 in the row of its sphere E_k and -1 in
+    the two rows it was blown up from, and later blowups only add
+    columns, so e_k keeps three nonzero entries.  Permuting columns
+    keeps these counts, and reflection reverses them.  So the
+    configuration fixes s, or, for a palindrome c, s up to reversal.
+
+    The walk yields endpoints in the order a walk over every chain first
+    reaches them, and the census keeps the first of a mirror pair, so
+    each configuration is represented by the first of its endpoints a
+    chain-by-chain census reaches.  Equal sort keys mean one
+    configuration, so the kept caps have distinct keys and their order
+    is total.
 
     One extra node blowup away from the +1 sphere then produces the
     anticanonical configuration whose square fixes the total blowup
@@ -171,13 +216,13 @@ def hyperbolic_filling_census(d, limit: int = DEFAULT_LIMIT) -> CensusResult:
     if ell > limit:
         raise ResourceLimitError("reversal length %d exceeds limit %d" % (ell, limit))
 
-    configurations = {}
-    for path, _ in dominated_blowups(c):
-        cap = cycle_cap_from_path(c, path)
-        configurations.setdefault(_canonical_configuration(cap), cap)
-    if not configurations:
+    caps = {}
+    for path, s in dominated_blowups(c):
+        if c != c[::-1] or s[::-1] not in caps:
+            caps[s] = cycle_cap_from_path(c, path)
+    if not caps:
         raise DomainError("string %s is not embeddable" % (tuple(d),))
-    reps = tuple(configurations[key] for key in sorted(configurations))
+    reps = tuple(sorted(caps.values(), key=_canonical_configuration))
 
     ambients = {cap.ambient for cap in reps}
     assert len(ambients) == 1, "all configurations share the ambient blowup count"

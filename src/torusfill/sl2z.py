@@ -299,23 +299,21 @@ def _reduce_along_root(w: Mat2, p: int, q: int):
     assert sq * sq != disc, "discriminant of a hyperbolic trace is never a square"
     seen = {}
     quotients = []
-    transforms = [IDENTITY]
+    transform = IDENTITY
     while (p, q) not in seen:
-        seen[(p, q)] = len(quotients)
+        seen[(p, q)] = len(quotients), transform
         e = _ceil_fixed_point(p, q, sq)
         quotients.append(e)
-        transforms.append(transforms[-1] * _transpose_factor(e))
+        transform = transform * _transpose_factor(e)
         p = e * q - p
         q2, rem = divmod(p * p - disc, q)
         assert rem == 0
         q = q2
-    start = seen[(p, q)]
+    # u is the product of the factors before the period, transform of all
+    start, u = seen[(p, q)]
     period = tuple(quotients[start:])
     assert all(e >= 2 for e in period) and any(e >= 3 for e in period)
-    period_matrix = IDENTITY
-    for e in period:
-        period_matrix = period_matrix * _transpose_factor(e)
-    u = transforms[start]
+    period_matrix = u.inverse() * transform
     w_reduced = u.inverse() * w * u
     power = period_matrix
     repeats = 1

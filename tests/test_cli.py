@@ -19,7 +19,7 @@ from torusfill.cli import _parse_gram, main, parse_string_arg, run
 from torusfill.divisor import divisor_from_dict, divisor_to_dict, dual_graph, realize_cap
 from torusfill.errors import DomainError
 from torusfill.lattice import cycle_graph_gram, tree_graph_gram
-from torusfill.sl2z import is_standard_string
+from torusfill.sl2z import is_standard_string, orientation_reversal
 
 from test_blowup import iter_blowup_paths, level_blowups
 from test_lattice import bareiss_determinant, fraction_signature
@@ -182,15 +182,25 @@ class TestFillings:
         assert status == 1 and "error" in err
 
     def test_one_cap_per_endpoint(self, capsys, monkeypatch):
+        # a palindromic target gets one cap per pair {s, s reversed} of
+        # dominated endpoints: (E + P) // 2 caps for E endpoints of
+        # which P are palindromes, fewer than E, fewer than the chains;
+        # (3,)*7 and (6,)*9 are the reversals of their reversals, with
+        # E = 7, P = 1 and E = 420, P = 4
         spy = Mock(wraps=fillings.cycle_cap_from_path)
         monkeypatch.setattr(fillings, "cycle_cap_from_path", spy)
-        status, out, _ = capture(capsys, ["fillings", "--d", "3,3,3,3,3,3,3", "--json"])
-        assert status == 0
-        c = tuple(json.loads(out)["orientation_reversal"])
-        assert len(c) == 7
-        endpoints = {s for s in level_blowups(7) if dominates(s, c)}
-        chains = sum(1 for _ in iter_blowup_paths(7, c))
-        assert spy.call_count == len(endpoints) < chains
+        for target, calls in (((3,) * 7, 4), ((6,) * 9, 212)):
+            spy.reset_mock()
+            d = ",".join(map(str, orientation_reversal(target)))
+            status, out, _ = capture(capsys, ["fillings", "--d", d, "--json"])
+            assert status == 0
+            c = tuple(json.loads(out)["orientation_reversal"])
+            assert c == target
+            endpoints = {s for s in level_blowups(len(c)) if dominates(s, c)}
+            palindromes = sum(s == s[::-1] for s in endpoints)
+            chains = sum(1 for _ in iter_blowup_paths(len(c), c))
+            assert spy.call_count == calls == (len(endpoints) + palindromes) // 2
+            assert calls < len(endpoints) < chains
 
 
 class TestParabolicVerb:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from torusfill.blowup import dominated_blowups, dominates
+from torusfill.blowup import DEFAULT_LIMIT, dominated_blowups, dominates, is_embeddable
 from torusfill import fillings
 from torusfill.divisor import (
     Ambient,
@@ -215,6 +215,77 @@ class TestCensusOracle:
         c = orientation_reversal((3, 3, 4, 3, 3))
         endpoints = [s for _, s in iter_blowup_paths(len(c), c)]
         assert len(endpoints) > len(set(endpoints)) > 1
+
+
+def _key_dedup_census(d):
+    """The earlier census dedup: one cap per dominated endpoint, one
+    configuration per _canonical_configuration key of those caps, the
+    first cap of each key kept, sorted by key."""
+    c = orientation_reversal(d)
+    configurations = {}
+    for path, _ in dominated_blowups(c):
+        cap = cycle_cap_from_path(c, path)
+        configurations.setdefault(_canonical_configuration(cap), cap)
+    reps = tuple(configurations[key] for key in sorted(configurations))
+    first = reps[0]
+    capped = blowup_node_total(first, 1, 2)
+    total = capped.total_class()
+    n_blowups = 9 - total.dot(total)
+    invariants = FillingInvariants(
+        n_blowups, 0, n_blowups + 1 - len(first), 0, True, len(reps)
+    )
+    return CensusResult(tuple(d), c, 0, c, invariants, reps, capped)
+
+
+def _small_embeddable_strings():
+    """Every embeddable standard string with entries 2..6 and length at
+    most 5 whose reversal is within the default length limit."""
+    for length in range(1, 6):
+        for d in itertools.product(range(2, 7), repeat=length):
+            if (is_standard_string(d) and len(orientation_reversal(d)) <= DEFAULT_LIMIT
+                    and is_embeddable(d)):
+                yield d
+
+
+def _constant_cycle_strings(ks):
+    """The strings whose reversal is (k,) * (k + 3)."""
+    return [orientation_reversal((k,) * (k + 3)) for k in ks]
+
+
+def _endpoint_counts(c):
+    """(E, P): the dominated endpoints of c, and how many of them are
+    palindromes."""
+    endpoints = [s for _, s in dominated_blowups(c)]
+    return len(endpoints), sum(s == s[::-1] for s in endpoints)
+
+
+class TestEndpointRule:
+    def test_census_matches_key_dedup(self):
+        strings = palindromes = 0
+        for d in _small_embeddable_strings():
+            census = hyperbolic_filling_census(d)
+            assert census == _key_dedup_census(d), d
+            strings += 1
+            palindromes += census.reversal == census.reversal[::-1]
+        assert (strings, palindromes) == (1266, 38)
+        for d in _constant_cycle_strings(range(3, 7)):
+            assert hyperbolic_filling_census(d) == _key_dedup_census(d), d
+
+    def test_class_count_is_an_endpoint_count(self):
+        for d in _small_embeddable_strings():
+            census = hyperbolic_filling_census(d)
+            c = census.reversal
+            e, p = _endpoint_counts(c)
+            expected = (e + p) // 2 if c == c[::-1] else e
+            assert census.invariants.class_count_bound == expected, d
+
+    def test_constant_cycle_counts(self):
+        got = []
+        for d in _constant_cycle_strings(range(4, 8)):
+            census = hyperbolic_filling_census(d)
+            got.append(_endpoint_counts(census.reversal)
+                       + (census.invariants.class_count_bound,))
+        assert got == [(35, 1, 18), (124, 0, 62), (420, 4, 212), (1420, 0, 710)]
 
 
 class TestEuler:
