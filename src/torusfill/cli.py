@@ -130,23 +130,23 @@ def _report_classify(args):
     return report
 
 
-def _text_classify(report, out):
-    print("string:        %s" % (tuple(report["input"]),), file=out)
+def _text_classify(report):
+    print("string:        %s" % (tuple(report["input"]),))
     print("monodromy:     %s  (trace %d, %s)"
-          % (report["matrix"], report["trace"], report["class"]), file=out)
+          % (report["matrix"], report["trace"], report["class"]))
     if "standard_form" in report:
         sf = report["standard_form"]
-        print("standard form: sign %+d, string %s" % (sf["sign"], tuple(sf["string"])), file=out)
+        print("standard form: sign %+d, string %s" % (sf["sign"], tuple(sf["string"])))
     if "orientation_reversal" in report:
-        print("reversal:      %s" % (tuple(report["orientation_reversal"]),), file=out)
-        print("embeddable:    %s" % report["embeddable"], file=out)
+        print("reversal:      %s" % (tuple(report["orientation_reversal"]),))
+        print("embeddable:    %s" % report["embeddable"])
         if report.get("witness"):
             w = report["witness"]
             print("witness:       %s dominated by %s (rotation %d)"
-                  % (tuple(w["sequence"]), tuple(w["target"]), w["rotation"]), file=out)
+                  % (tuple(w["sequence"]), tuple(w["target"]), w["rotation"]))
     if "h1" in report:
         h1 = report["h1"]
-        print("H1:            Z^%d + torsion %s" % (h1["free_rank"], h1["torsion"]), file=out)
+        print("H1:            Z^%d + torsion %s" % (h1["free_rank"], h1["torsion"]))
 
 
 def _report_embed(args):
@@ -164,15 +164,15 @@ def _report_embed(args):
     return report
 
 
-def _text_embed(report, out):
-    print("string:    %s" % (tuple(report["input"]),), file=out)
-    print("reversal:  %s" % (tuple(report["orientation_reversal"]),), file=out)
+def _text_embed(report):
+    print("string:    %s" % (tuple(report["input"]),))
+    print("reversal:  %s" % (tuple(report["orientation_reversal"]),))
     if report["witness"]:
         w = report["witness"]
         print("witness:   %s dominated by %s (rotation %d)"
-              % (tuple(w["sequence"]), tuple(w["target"]), w["rotation"]), file=out)
+              % (tuple(w["sequence"]), tuple(w["target"]), w["rotation"]))
     else:
-        print("witness:   none", file=out)
+        print("witness:   none")
 
 
 def _cap_from_args(args):
@@ -215,16 +215,16 @@ def _report_cap(args):
     return report
 
 
-def _text_cap(report, out):
+def _text_cap(report):
     comps = report["divisor"]["components"]
     amb = report["divisor"]["ambient"]
-    print("ambient:   %s blown up %d times" % (amb["model"], amb["blowups"]), file=out)
+    print("ambient:   %s blown up %d times" % (amb["model"], amb["blowups"]))
     for entry in comps:
-        print("  %-4s %s" % (entry["label"], entry["coords"]), file=out)
-    print("weights:   %s" % _weights_str(report["dual_graph"]["weights"]), file=out)
+        print("  %-4s %s" % (entry["label"], entry["coords"]))
+    print("weights:   %s" % _weights_str(report["dual_graph"]["weights"]))
     if "boundary_monodromy" in report:
         b = report["boundary_monodromy"]
-        print("boundary:  %s (trace %d)" % (b["matrix"], b["trace"]), file=out)
+        print("boundary:  %s (trace %d)" % (b["matrix"], b["trace"]))
 
 
 def _report_fillings(args):
@@ -250,17 +250,17 @@ def _report_fillings(args):
     return report
 
 
-def _text_fillings(report, out):
+def _text_fillings(report):
     inv = report["invariants"]
-    print("string:          %s" % (tuple(report["input"]),), file=out)
+    print("string:          %s" % (tuple(report["input"]),))
     print("reversal:        %s (rotation %d used)"
-          % (tuple(report["orientation_reversal"]), report["rotation"]), file=out)
-    print("blowups N:       %d" % inv["N"], file=out)
+          % (tuple(report["orientation_reversal"]), report["rotation"]))
+    print("blowups N:       %d" % inv["N"])
     print("filling Betti:   b1=%d b2=%d b3=%d, c1 trivial: %s"
-          % (inv["b1"], inv["b2"], inv["b3"], inv["c1_trivial"]), file=out)
+          % (inv["b1"], inv["b2"], inv["b3"], inv["c1_trivial"]))
     print("configurations:  %d (distinct up to relabelling)"
-          % inv["class_count_bound"], file=out)
-    print("euler check:     %s" % report["euler_consistent"], file=out)
+          % inv["class_count_bound"])
+    print("euler check:     %s" % report["euler_consistent"])
 
 
 def _solution_dict(sol: fil.ParabolicSolution):
@@ -293,15 +293,15 @@ def _report_parabolic(args):
     return report
 
 
-def _text_parabolic(report, out):
-    print("n = %d" % report["n"], file=out)
+def _text_parabolic(report):
+    print("n = %d" % report["n"])
     for sol in report["solutions"]:
         print("  %-6s N=%d  a=%d b=%d coefficients=%s" % (
-            sol["model"], sol["N"], sol["a"], sol["b"], sol["coefficients"]), file=out)
-        print("         fiber %s, conic %s" % (sol["fiber_class"], sol["conic_class"]), file=out)
+            sol["model"], sol["N"], sol["a"], sol["b"], sol["coefficients"]))
+        print("         fiber %s, conic %s" % (sol["fiber_class"], sol["conic_class"]))
         print("         b2(filling)=%d (rank-consistent value %d)"
-              % (sol["b2_filling"], sol["b2_rank_consistent"]), file=out)
-    print("raw solutions before filters: %s" % report["raw_counts"], file=out)
+              % (sol["b2_filling"], sol["b2_rank_consistent"]))
+    print("raw solutions before filters: %s" % report["raw_counts"])
 
 
 def _report_distfill(args):
@@ -326,12 +326,12 @@ def _report_distfill(args):
     return report
 
 
-def _text_distfill(report, out):
-    print("family parameter: %d" % report["n"], file=out)
+def _text_distfill(report):
+    print("family parameter: %d" % report["n"])
     print("det1 = %d (%s), det2 = %d (%s)"
-          % (report["det1"], report["parity1"], report["det2"], report["parity2"]), file=out)
+          % (report["det1"], report["parity1"], report["det2"], report["parity2"]))
     print("formula: %d and %d, match: %s"
-          % (report["formula_det1"], report["formula_det2"], report["matches_formula"]), file=out)
+          % (report["formula_det1"], report["formula_det2"], report["matches_formula"]))
 
 
 def _report_contact(args):
@@ -353,16 +353,15 @@ def _report_contact(args):
     return report
 
 
-def _text_contact(report, out):
-    print("string:                 %s" % (tuple(report["input"]),), file=out)
-    print("virtually overtwisted:  %d" % report["virtually_overtwisted"], file=out)
-    print("universally tight:      %d" % report["universally_tight"], file=out)
+def _text_contact(report):
+    print("string:                 %s" % (tuple(report["input"]),))
+    print("virtually overtwisted:  %d" % report["virtually_overtwisted"])
+    print("universally tight:      %d" % report["universally_tight"])
     if report.get("rotation_tuples") is not None:
         print("rotation tuples:        %s"
-              % [tuple(t) for t in report["rotation_tuples"]], file=out)
+              % [tuple(t) for t in report["rotation_tuples"]])
     else:
-        print("rotation tuples:        omitted (more than --limit; raise it to list them)",
-              file=out)
+        print("rotation tuples:        omitted (more than --limit; raise it to list them)")
 
 
 def _report_lattice(args):
@@ -386,17 +385,17 @@ def _report_lattice(args):
     return report
 
 
-def _text_lattice(report, out):
-    print("gram:        %s" % report["gram"], file=out)
-    print("smith form:  %s" % report["smith_diagonal"], file=out)
+def _text_lattice(report):
+    print("gram:        %s" % report["gram"])
+    print("smith form:  %s" % report["smith_diagonal"])
     print("cokernel:    Z^%d + %s" % (
-        report["cokernel"]["free_rank"], report["cokernel"]["torsion"]), file=out)
+        report["cokernel"]["free_rank"], report["cokernel"]["torsion"]))
     if "invariants" in report:
         inv = report["invariants"]
         print("invariants:  rank %d, det %d, %s, signature %s, divisors %s"
               % (inv["rank"], inv["det"], inv["parity"], tuple(inv["signature"]),
-                 inv["elementary_divisors"]), file=out)
-        print("negative definite: %s" % report["negative_definite"], file=out)
+                 inv["elementary_divisors"]))
+        print("negative definite: %s" % report["negative_definite"])
 
 
 def _args_d(p):
@@ -528,10 +527,10 @@ def run(argv=None):
     if args.json:
         print(_json_text(report))
     else:
-        render(report, sys.stdout)
+        render(report)
         for warning in report.get("warnings", ()):
-            print("note: %s" % warning, file=sys.stdout)
-        print("elapsed: %.3fs" % (time.monotonic() - started), file=sys.stdout)
+            print("note: %s" % warning)
+        print("elapsed: %.3fs" % (time.monotonic() - started))
     return 0
 
 

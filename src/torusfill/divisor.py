@@ -16,15 +16,21 @@ the torus bundles of interest; each builder asserts that the resulting
 dual graph is exactly the advertised one and that the total class stays
 anticanonical.
 
-Blowups write each class once, in the grown ambient: every component
-is padded with one coordinate per new exceptional class, -1 where it
-passes through the blown-up point (its proper transform) and 0 elsewhere.
-The cycle caps of the census skip the growing: the path of node
-blowups fixes the ambient in advance, N0 = len(path) + sum(c_i - s_i)
-exceptional classes for weights c and path endpoint s, with e_1, ...,
-e_len(path) taken by the node blowups in chain order and the rest by
-the generic blowups in component order, so cycle_cap_from_path writes
-every component once as a row of fixed width 1 + N0.
+Blowups write each class once, in the grown ambient, through one
+private writer, _pad: every component is padded with one coordinate
+per new exceptional class, -1 where it passes through the blown-up
+point (its proper transform) and 0 elsewhere.  blowup_generic and
+blowup_node_total pad a divisor's rows; the elliptic, parabolic and
+single hyperbolic caps pad their base degrees, (1, 1, 1) for the
+lines and (1, 2) for the line and conic, in one call; fillings pads
+the distinguished family and the product-model parabolic classes the
+same way.  The cycle caps of the census, its hot path, skip the
+growing: the path of node blowups fixes the ambient in advance,
+N0 = len(path) + sum(c_i - s_i) exceptional classes for weights c and
+path endpoint s, with e_1, ..., e_len(path) taken by the node blowups
+in chain order and the rest by the generic blowups in component order,
+so cycle_cap_from_path writes every component once as a row of fixed
+width 1 + N0.
 """
 
 from __future__ import annotations
@@ -274,14 +280,16 @@ def is_anticanonical(div: Divisor) -> bool:
     return div.total_class() == div.ambient.anticanonical()
 
 
-def _grow(div: Divisor, extra: int, lose):
-    """The ambient with `extra` more exceptional classes, and the
-    components padded into it: 0 on each new class, less one for each
-    time the component's index is listed in `lose`."""
-    amb = Ambient(div.ambient.model, div.ambient.blowups + extra)
-    return amb, [
-        HClass(amb, c.coords + (-lose.count(k),) * extra) for k, c in enumerate(div.components)
-    ]
+def _pad(model: str, rows, points):
+    """The ambient of `model` grown by `points`, and `rows` (coordinate
+    tuples in the ungrown ambient) padded into it, as a tuple of
+    classes.  Each (components, count) entry of `points` appends
+    `count` exceptional classes, in order, each with -1 in the rows
+    listed in `components` and 0 in the others."""
+    for components, count in points:
+        rows = [row + (-1 if k in components else 0,) * count for k, row in enumerate(rows)]
+    amb = Ambient(model, len(rows[0]) - Ambient(model, 0).rank)
+    return amb, tuple(HClass(amb, row) for row in rows)
 
 
 def blowup_generic(div: Divisor, index: int, times: int = 1) -> Divisor:
@@ -292,8 +300,8 @@ def blowup_generic(div: Divisor, index: int, times: int = 1) -> Divisor:
         raise DomainError("generic blowup needs times >= 1, got %d" % times)
     if not 0 <= index < len(div):
         raise DomainError("component index %d out of range" % index)
-    amb, comps = _grow(div, times, (index,))
-    return Divisor(amb, tuple(comps), div.labels, div.marked)
+    return Divisor(*_pad(div.ambient.model, [c.coords for c in div.components],
+                         [((index,), times)]), div.labels, div.marked)
 
 
 def blowup_node_total(div: Divisor, i: int, j: int) -> Divisor:
@@ -309,16 +317,16 @@ def blowup_node_total(div: Divisor, i: int, j: int) -> Divisor:
         raise DomainError("a node blowup needs two distinct components, got one")
     if div.components[i].dot(div.components[j]) < 1:
         raise DomainError("components %d and %d have no node to blow up" % (i, j))
-    amb, comps = _grow(div, 1, (i, j))
+    amb, comps = _pad(div.ambient.model, [c.coords for c in div.components], [((i, j), 1)])
     e = HClass(amb, (0,) * (amb.rank - 1) + (1,))
     labels = list(div.labels)
     insert_at = i + 1 if j == i + 1 else n
-    comps.insert(insert_at, e)
+    comps = comps[:insert_at] + (e,) + comps[insert_at:]
     labels.insert(insert_at, "E%d" % amb.blowups)
     marked = div.marked
     if marked is not None and insert_at <= marked:
         marked += 1
-    result = Divisor(amb, tuple(comps), tuple(labels), marked)
+    result = Divisor(amb, comps, tuple(labels), marked)
     assert result.components[i if insert_at > i else i + 1].dot(e) == 1
     return result
 
@@ -345,19 +353,6 @@ def cycle_monodromy(weights, edge_sign_product: int) -> Mat2:
 # --- cap constructions ----------------------------------------------------
 
 
-def _triangle() -> Divisor:
-    amb = Ambient(CP2, 0)
-    h = amb.h()
-    return Divisor(amb, (h, h, h), ("L1", "L2", "L3"), marked=0)
-
-
-def _line_conic() -> Divisor:
-    amb = Ambient(CP2, 0)
-    h = amb.h()
-    two_h = h + h
-    return Divisor(amb, (h, two_h), ("L", "C"), marked=0)
-
-
 def elliptic_cap(epsilon: int, side: str) -> Divisor:
     """Cap for an elliptic bundle.
 
@@ -370,12 +365,12 @@ def elliptic_cap(epsilon: int, side: str) -> Divisor:
     if epsilon not in (-1, 0, 1):
         raise DomainError("epsilon must be one of -1, 0, 1, got %r" % (epsilon,))
     if side == "left":
-        div = blowup_generic(_triangle(), 1, 1)
-        div = blowup_generic(div, 2, 2 - epsilon)
+        div = Divisor(*_pad(CP2, ((1,), (1,), (1,)), [((1,), 1), ((2,), 2 - epsilon)]),
+                      ("L1", "L2", "L3"), marked=0)
         target = (1, 0, epsilon - 1)
     elif side == "right":
-        div = blowup_generic(_line_conic(), 0, 2)
-        div = blowup_generic(div, 1, 6 - epsilon)
+        div = Divisor(*_pad(CP2, ((1,), (2,)), [((0,), 2), ((1,), 6 - epsilon)]),
+                      ("L", "C"), marked=0)
         target = (-1, epsilon - 2)
     else:
         raise DomainError("side must be 'left' or 'right', got %r" % (side,))
@@ -393,9 +388,7 @@ def parabolic_cap(n: int) -> Divisor:
             "no cap for n > 4: the configuration does not embed in any "
             "closed model (n = %d)" % n
         )
-    div = blowup_generic(_line_conic(), 0, 1)
-    if n < 4:
-        div = blowup_generic(div, 1, 4 - n)
+    div = Divisor(*_pad(CP2, ((1,), (2,)), [((0,), 1), ((1,), 4 - n)]), ("L", "C"), marked=0)
     weights, edges = dual_graph(div)
     assert weights == (0, n) and edges == {(0, 1): 2} and is_anticanonical(div)
     return div
@@ -407,7 +400,7 @@ def hyperbolic_single_cap(c1: int) -> Divisor:
     is the double edge (+1, 2 - c1).  Requires c1 >= 3."""
     if c1 < 3:
         raise DomainError("single-vertex weight must be >= 3, got %d" % c1)
-    div = blowup_generic(_line_conic(), 1, c1 + 2)
+    div = Divisor(*_pad(CP2, ((1,), (2,)), [((1,), c1 + 2)]), ("L", "C"), marked=0)
     weights, edges = dual_graph(div)
     assert weights == (1, 2 - c1) and edges == {(0, 1): 2} and is_anticanonical(div)
     return div

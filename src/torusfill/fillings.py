@@ -51,6 +51,7 @@ from .divisor import (
     Ambient,
     Divisor,
     HClass,
+    _pad,
     _pair,
     blowup_node_total,
     cycle_cap_from_path,
@@ -428,12 +429,10 @@ def _filter_parabolic(n: int, raw: dict) -> list:
     b, cs = _sole_survivor(raw[S2XS2], n)
     units = (1,) * (4 - n)
     assert ((a, b1, rest), (b, cs)) == ((2, 0, units), (1, units))
-    product = Ambient(S2XS2, 4 - n)
     models = (
         (CP2, a, b1, (b1,) + rest, parabolic_cap(n).components),
         # f and 2s + f - e_1 - ... - e_{4-n}
-        (S2XS2, 2, b, cs, (HClass(product, (0, 1) + (0,) * (4 - n)),
-                           HClass(product, (2, 1) + (-1,) * (4 - n)))),
+        (S2XS2, 2, b, cs, _pad(S2XS2, ((0, 1), (2, 1)), [((1,), 4 - n)])[1]),
     )
     solutions = []
     for model, a, b, coefficients, (fiber, conic) in models:
@@ -488,17 +487,13 @@ def family_configuration_divisors(n: int):
     among the -3 spheres only the third one both preserves the relation
     and yields the determinant profile 81n + 180 of the shared graph.
 
-    Each class is written once, as its n = 0 row padded with n
-    coordinates: -1 on e_10, ..., e_(9+n) for the third sphere, 0 for
-    the others.
+    Each class is written once, as its n = 0 row padded by
+    divisor._pad with n generic points on the third sphere: -1 on
+    e_10, ..., e_(9+n) for that sphere, 0 for the others.
     """
-    amb = Ambient(CP2, 9 + n)
     labels = tuple("C%d" % i for i in range(7))
-    return tuple(
-        Divisor(amb, tuple(HClass(amb, row + ((-1,) if k == 2 else (0,)) * n)
-                           for k, row in enumerate(table)), labels, marked=0)
-        for table in (_FAMILY_FIRST, _FAMILY_SECOND)
-    )
+    return tuple(Divisor(*_pad(CP2, table, [((2,), n)]), labels, marked=0)
+                 for table in (_FAMILY_FIRST, _FAMILY_SECOND))
 
 
 def _span_invariants(amb: Ambient, rows):

@@ -526,13 +526,22 @@ def radical_and_quotient(sub: Sublattice):
 # --- plumbing-graph Gram matrices ----------------------------------------
 
 
+def _graph_gram(weights, signed_edges):
+    """The Gram matrix of a plumbing graph: the ints `weights` on the
+    diagonal, and the sign of each (i, j, sign) in `signed_edges` added
+    to entries (i, j) and (j, i)."""
+    q = [[0] * len(weights) for _ in weights]
+    for i, w in enumerate(weights):
+        q[i][i] = w
+    for i, j, sign in signed_edges:
+        q[i][j] += sign
+        q[j][i] += sign
+    return tuple(map(tuple, q))
+
+
 def diagonal_gram(entries):
     """Diagonal Gram matrix with the given entries."""
-    entries = tuple(map(int, entries))
-    return tuple(
-        tuple(entries[i] if i == j else 0 for j in range(len(entries)))
-        for i in range(len(entries))
-    )
+    return _graph_gram(tuple(map(int, entries)), ())
 
 
 def cycle_graph_gram(weights, edge_signs=None):
@@ -548,14 +557,7 @@ def cycle_graph_gram(weights, edge_signs=None):
     signs = tuple(edge_signs) if edge_signs is not None else (1,) * n
     if len(signs) != n:
         raise DomainError("need one sign per edge, got %d for %d edges" % (len(signs), n))
-    q = [[0] * n for _ in range(n)]
-    for i in range(n):
-        q[i][i] = w[i]
-    for i, sign in enumerate(signs):
-        j = (i + 1) % n
-        q[i][j] += sign
-        q[j][i] += sign
-    return tuple(tuple(row) for row in q)
+    return _graph_gram(w, [(i, (i + 1) % n, sign) for i, sign in enumerate(signs)])
 
 
 def tree_graph_gram(weights, edges):
@@ -563,12 +565,8 @@ def tree_graph_gram(weights, edges):
     +1 entry for every edge (i, j)."""
     w = tuple(map(int, weights))
     n = len(w)
-    q = [[0] * n for _ in range(n)]
-    for i in range(n):
-        q[i][i] = w[i]
+    edges = tuple(edges)
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise DomainError("bad edge (%d, %d)" % (i, j))
-        q[i][j] += 1
-        q[j][i] += 1
-    return tuple(tuple(row) for row in q)
+    return _graph_gram(w, [(i, j, 1) for i, j in edges])

@@ -20,7 +20,9 @@ from torusfill.divisor import (
     blowup_node_total,
     cycle_cap_from_path,
     cycle_monodromy,
+    divisor_from_dict,
     divisor_from_json,
+    divisor_to_dict,
     divisor_to_json,
     dual_graph,
     elliptic_cap,
@@ -32,6 +34,12 @@ from torusfill.divisor import (
     realize_cap,
 )
 from torusfill.errors import DomainError
+from torusfill.fillings import (
+    _FAMILY_FIRST,
+    _FAMILY_SECOND,
+    family_configuration_divisors,
+    parabolic_solutions,
+)
 from torusfill.sl2z import hyperbolic_standard_form, monodromy, orientation_reversal
 
 
@@ -153,11 +161,11 @@ class TestBlowups:
         # a nodal cubic is its own cyclic neighbour and pairs 9 with itself
         a = Ambient(CP2, 0)
         div = Divisor(a, (HClass(a, (3,)),), ("C",))
-        grow = Mock(wraps=divisor._grow)
-        monkeypatch.setattr(divisor, "_grow", grow)
+        pad = Mock(wraps=divisor._pad)
+        monkeypatch.setattr(divisor, "_pad", pad)
         with pytest.raises(DomainError, match="needs two distinct components"):
             blowup_node_total(div, 0, 0)
-        assert grow.call_count == 0
+        assert pad.call_count == 0
 
     def test_blowups_preserve_untouched_pairings(self):
         cap = hyperbolic_cycle_cap((5,))
@@ -523,3 +531,155 @@ class TestCycleCapMatchesOracle:
         with pytest.raises(DomainError) as got:
             cycle_cap_from_path(weights, path)
         assert str(got.value) == str(want.value)
+
+
+# --- the constructions divisor._pad replaced, kept as oracles --------------
+
+
+def _grow_oracle(div, extra, lose):
+    """The earlier divisor._grow: the ambient with `extra` more
+    exceptional classes, and the components padded into it, less one
+    for each time a component's index is listed in `lose`."""
+    amb = Ambient(div.ambient.model, div.ambient.blowups + extra)
+    return amb, [
+        HClass(amb, c.coords + (-lose.count(k),) * extra) for k, c in enumerate(div.components)
+    ]
+
+
+def blowup_generic_grow_oracle(div, index, times=1):
+    if times < 1:
+        raise DomainError("generic blowup needs times >= 1, got %d" % times)
+    if not 0 <= index < len(div):
+        raise DomainError("component index %d out of range" % index)
+    amb, comps = _grow_oracle(div, times, (index,))
+    return Divisor(amb, tuple(comps), div.labels, div.marked)
+
+
+def blowup_node_total_grow_oracle(div, i, j):
+    n = len(div)
+    if not (0 <= i < n and 0 <= j < n):
+        raise DomainError("component index out of range")
+    if j != (i + 1) % n:
+        raise DomainError("components %d and %d are not cyclically consecutive" % (i, j))
+    if i == j:
+        raise DomainError("a node blowup needs two distinct components, got one")
+    if div.components[i].dot(div.components[j]) < 1:
+        raise DomainError("components %d and %d have no node to blow up" % (i, j))
+    amb, comps = _grow_oracle(div, 1, (i, j))
+    e = HClass(amb, (0,) * (amb.rank - 1) + (1,))
+    labels = list(div.labels)
+    insert_at = i + 1 if j == i + 1 else n
+    comps.insert(insert_at, e)
+    labels.insert(insert_at, "E%d" % amb.blowups)
+    marked = div.marked
+    if marked is not None and insert_at <= marked:
+        marked += 1
+    return Divisor(amb, tuple(comps), tuple(labels), marked)
+
+
+def _triangle():
+    amb = Ambient(CP2, 0)
+    h = amb.h()
+    return Divisor(amb, (h, h, h), ("L1", "L2", "L3"), marked=0)
+
+
+def _line_conic():
+    amb = Ambient(CP2, 0)
+    h = amb.h()
+    return Divisor(amb, (h, h + h), ("L", "C"), marked=0)
+
+
+def elliptic_cap_oracle(epsilon, side):
+    if side == "left":
+        div = blowup_generic_grow_oracle(_triangle(), 1, 1)
+        return blowup_generic_grow_oracle(div, 2, 2 - epsilon)
+    div = blowup_generic_grow_oracle(_line_conic(), 0, 2)
+    return blowup_generic_grow_oracle(div, 1, 6 - epsilon)
+
+
+def parabolic_cap_oracle(n):
+    div = blowup_generic_grow_oracle(_line_conic(), 0, 1)
+    if n < 4:
+        div = blowup_generic_grow_oracle(div, 1, 4 - n)
+    return div
+
+
+def hyperbolic_single_cap_oracle(c1):
+    return blowup_generic_grow_oracle(_line_conic(), 1, c1 + 2)
+
+
+def family_configuration_divisors_oracle(n):
+    """The earlier family padding: one conditional tuple per row."""
+    amb = Ambient(CP2, 9 + n)
+    labels = tuple("C%d" % i for i in range(7))
+    return tuple(
+        Divisor(amb, tuple(HClass(amb, row + ((-1,) if k == 2 else (0,)) * n)
+                           for k, row in enumerate(table)), labels, marked=0)
+        for table in (_FAMILY_FIRST, _FAMILY_SECOND)
+    )
+
+
+def product_classes_oracle(n):
+    """The earlier hand-padded product-model (fiber, conic) classes."""
+    product = Ambient(S2XS2, 4 - n)
+    return (HClass(product, (0, 1) + (0,) * (4 - n)),
+            HClass(product, (2, 1) + (-1,) * (4 - n)))
+
+
+def assert_sound(div):
+    """Hashable, and equal to its own serialization round trip: both
+    fail when the components or labels are not tuples."""
+    hash(div)
+    assert divisor_from_dict(divisor_to_dict(div)) == div
+
+
+class TestPaddedBuildersMatchOracles:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("eps", [-1, 0, 1])
+    def test_elliptic(self, eps, side):
+        cap = elliptic_cap(eps, side)
+        assert cap == elliptic_cap_oracle(eps, side)
+        assert_sound(cap)
+
+    @pytest.mark.parametrize("n", range(-9, 5))
+    def test_parabolic(self, n):
+        cap = parabolic_cap(n)
+        assert cap == parabolic_cap_oracle(n)
+        assert_sound(cap)
+
+    @pytest.mark.parametrize("c1", range(3, 21))
+    def test_hyperbolic_single(self, c1):
+        cap = hyperbolic_single_cap(c1)
+        assert cap == hyperbolic_single_cap_oracle(c1)
+        assert_sound(cap)
+
+    @pytest.mark.parametrize("n", range(61))
+    def test_family(self, n):
+        divisors = family_configuration_divisors(n)
+        assert divisors == family_configuration_divisors_oracle(n)
+        for div in divisors:
+            assert_sound(div)
+
+    @pytest.mark.parametrize("n", range(-7, 5))
+    def test_product_classes(self, n):
+        sol = parabolic_solutions(n)[1]
+        fiber, conic = product_classes_oracle(n)
+        assert (sol.model, sol.fiber_class, sol.conic_class) == (S2XS2, fiber, conic)
+        hash(sol)
+        assert_sound(Divisor(fiber.ambient, (sol.fiber_class, sol.conic_class), ("F", "C")))
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_blowups_on_cycle_caps(self, k):
+        c = (k,) * (k + 3)
+        caps = [cycle_cap_from_path(c, path) for path, _ in dominated_blowups(c)]
+        for cap in caps:
+            n = len(cap)
+            for i in range(n):
+                out = blowup_node_total(cap, i, (i + 1) % n)
+                assert out == blowup_node_total_grow_oracle(cap, i, (i + 1) % n)
+                assert_sound(out)
+                for times in (1, 2):
+                    out = blowup_generic(cap, i, times)
+                    assert out == blowup_generic_grow_oracle(cap, i, times)
+                    assert_sound(out)
+        assert len(caps) == {3: 8, 4: 35, 5: 124, 6: 420}[k]

@@ -860,3 +860,94 @@ def test_smith_form_matches_sympy(m):
 
     expected = sympy_smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
     assert smith_normal_form(m)[0] == tuple(map(tuple, expected.tolist()))
+
+
+# --- the earlier plumbing builders, kept as oracles ---------------------------
+
+
+def diagonal_gram_oracle(entries):
+    entries = tuple(map(int, entries))
+    return tuple(
+        tuple(entries[i] if i == j else 0 for j in range(len(entries)))
+        for i in range(len(entries))
+    )
+
+
+def cycle_graph_gram_oracle(weights, edge_signs=None):
+    w = tuple(map(int, weights))
+    n = len(w)
+    if n < 2:
+        raise DomainError("a cycle needs at least two vertices")
+    signs = tuple(edge_signs) if edge_signs is not None else (1,) * n
+    if len(signs) != n:
+        raise DomainError("need one sign per edge, got %d for %d edges" % (len(signs), n))
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = w[i]
+    for i, sign in enumerate(signs):
+        j = (i + 1) % n
+        q[i][j] += sign
+        q[j][i] += sign
+    return tuple(tuple(row) for row in q)
+
+
+def tree_graph_gram_oracle(weights, edges):
+    w = tuple(map(int, weights))
+    n = len(w)
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = w[i]
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise DomainError("bad edge (%d, %d)" % (i, j))
+        q[i][j] += 1
+        q[j][i] += 1
+    return tuple(tuple(row) for row in q)
+
+
+def _gram_outcome(build, *args):
+    """The result with the exact type of every entry, or the message."""
+    try:
+        q = build(*args)
+    except DomainError as exc:
+        return "DomainError: %s" % exc
+    return q, [[type(x) for x in row] for row in q]
+
+
+class TestPlumbingBuildersMatchOracles:
+    def test_random_inputs(self):
+        rng = random.Random(0)
+        messages = set()
+        for _ in range(3000):
+            n = rng.randint(0, 6)
+            weights = [rng.choice((rng.randint(-6, 6), str(rng.randint(-3, 3)), True))
+                       for _ in range(n)]
+            signs = rng.choice((None, [rng.choice((1, -1, 2, Fraction(1, 2)))
+                                       for _ in range(rng.choice((n, n, n + 1, max(n - 1, 0))))]))
+            edges = [(rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 5))]
+            for build, oracle, args in (
+                (diagonal_gram, diagonal_gram_oracle, (weights,)),
+                (cycle_graph_gram, cycle_graph_gram_oracle, (weights, signs)),
+                (tree_graph_gram, tree_graph_gram_oracle, (weights, edges)),
+            ):
+                got = _gram_outcome(build, *args)
+                assert got == _gram_outcome(oracle, *args), (build.__name__, args)
+                if isinstance(got, str):
+                    messages.add(got.split(",")[0].split("(")[0])
+        # all three refusals occur
+        assert messages == {
+            "DomainError: a cycle needs at least two vertices",
+            "DomainError: need one sign per edge",
+            "DomainError: bad edge ",
+        }
+
+    def test_generators_are_read_once(self):
+        assert diagonal_gram(x for x in (1, -2)) == diagonal_gram_oracle((1, -2))
+        assert cycle_graph_gram((w for w in (-2, -3)), (s for s in (1, -1))) == (
+            cycle_graph_gram_oracle((-2, -3), (1, -1)))
+        assert tree_graph_gram((w for w in (-2, -2, -2)), (e for e in [(0, 1), (1, 2)])) == (
+            tree_graph_gram_oracle((-2, -2, -2), [(0, 1), (1, 2)]))
+
+    def test_tree_names_its_first_bad_edge(self):
+        with pytest.raises(DomainError, match=r"^bad edge \(2, 2\)$"):
+            tree_graph_gram((-2, -2, -2), [(0, 1), (2, 2), (0, 5)])
