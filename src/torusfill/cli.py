@@ -5,6 +5,9 @@ lattice.  Every verb prints a human-readable report by default and a
 JSON document with --json.  JSON output is deterministic (sorted keys,
 no timing field); elapsed time is shown in text mode only.
 
+run builds its argparse parser once per process, at its first call, and
+every later call parses with that same parser.
+
 Exit codes: 0 on success, 1 on domain or resource errors (diagnostic on
 stderr) and, from main, when the reader closes stdout early (silently),
 2 on usage errors.
@@ -13,6 +16,7 @@ stderr) and, from main, when the reader closes stdout early (silently),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -421,7 +425,8 @@ def _args_lattice(p):
 
 
 # verb -> (report, text, help, adder of the verb's own arguments); the adders
-# run at each build, so `type=` callables are looked up then, not at import
+# run once, at the first call of run, so `type=` callables are looked up
+# then, not at import
 _VERBS = {
     "classify": (_report_classify, _text_classify,
                  "trace class, standard form, reversal, homology", _args_d),
@@ -438,20 +443,16 @@ _VERBS = {
 }
 
 
-def _build_parser(verbs):
-    # a one-verb build names every verb in its usage line, so its usage
-    # errors read as the full build's; the full build keeps argparse's own
-    # metavar, which its "invalid choice" and "required" errors print
+@functools.cache
+def _build_parser():
+    # parse_args leaves a parser unchanged, so one build serves every call
     parser = argparse.ArgumentParser(
         prog="torusfill",
         description="Exact monodromy classification and filling invariants "
                     "of torus bundles over the circle.",
     )
-    sub = parser.add_subparsers(
-        dest="verb", required=True,
-        metavar=None if len(verbs) == len(_VERBS) else "{%s}" % ",".join(_VERBS))
-    for verb in verbs:
-        _, _, help_text, add_args = _VERBS[verb]
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (_, _, help_text, add_args) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         add_args(p)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -513,10 +514,7 @@ def _json_text(value):
 def run(argv=None):
     """Parse arguments, dispatch, and print the report; returns the
     process exit status."""
-    argv = sys.argv[1:] if argv is None else argv
-    # only the named verb's parser is built; anything else builds them all
-    verbs = argv[:1] if argv and argv[0] in _VERBS else _VERBS
-    args = _build_parser(verbs).parse_args(argv)
+    args = _build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     build, render = _VERBS[args.verb][:2]
     started = time.monotonic()
     try:

@@ -236,6 +236,10 @@ class Divisor:
     marked: int | None = None
 
     def __post_init__(self):
+        # stored as tuples, so a divisor hashes and equals its dict round
+        # trip; tuple() of a tuple is that same tuple
+        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.components) != len(self.labels):
             raise DomainError("component and label counts differ")
         for c in self.components:

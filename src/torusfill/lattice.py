@@ -293,16 +293,21 @@ def determinant(mat):
     return _eliminate(_square(mat, "determinant of a non-square matrix"))[0]
 
 
-def _sym_eliminate(gram):
-    """(det, (pos, neg, zero)) of a symmetric integer matrix from one
-    fraction-free symmetric elimination pass (see _eliminate)."""
+def _symmetric(gram):
+    """A copy of the matrix as lists, or DomainError when it is not a
+    symmetric form."""
     a = _square(gram, "symmetric form expected, got a non-square matrix")
-    n = len(a)
-    for i in range(n):
+    for i in range(len(a)):
         for j in range(i):
             if a[i][j] != a[j][i]:
                 raise DomainError("symmetric form expected, got a non-symmetric matrix")
-    return _eliminate(a)
+    return a
+
+
+def _sym_eliminate(gram):
+    """(det, (pos, neg, zero)) of a symmetric integer matrix from one
+    fraction-free symmetric elimination pass (see _eliminate)."""
+    return _eliminate(_symmetric(gram))
 
 
 def _eliminate(a):
@@ -387,8 +392,9 @@ def signature(gram):
 
 def parity(gram):
     """"even" when every self-pairing is even, else "odd".  For an
-    integral symmetric form this is detected by the diagonal alone."""
-    rows = tuple(tuple(r) for r in gram)
+    integral symmetric form this is detected by the diagonal alone, so
+    any other matrix raises DomainError, as in signature."""
+    rows = _symmetric(gram)
     return EVEN if all(rows[i][i] % 2 == 0 for i in range(len(rows))) else ODD
 
 

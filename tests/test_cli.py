@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -328,14 +329,12 @@ class TestMainReadsSysArgv:
     def test_verb_call(self, capsys, monkeypatch):
         argv = ["embed", "--d", "5", "--json"]
         monkeypatch.setattr(sys, "argv", ["torusfill"] + argv)
-        spy = Mock(wraps=cli._build_parser)
-        with patch.object(cli, "_build_parser", spy):
-            assert main() == 0
-        spy.assert_called_once_with(["embed"])  # the one-verb build
+        assert main() == 0
         from_main = capsys.readouterr()
         assert run(argv) == 0
         assert capsys.readouterr() == from_main
         assert json.loads(from_main.out)["embeddable"] is True
+        assert cli._build_parser() is cli._build_parser()  # built once
 
     def test_help(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["torusfill", "-h"])
@@ -378,7 +377,7 @@ class TestResourceLimits:
             assert err == "error: enumeration of length-5 sequences exceeds limit 2\n"
 
 
-# --- the one-verb parser against the full parser ------------------------------
+# --- run's parser against a parser built by hand ------------------------------
 
 def oracle_parser():
     """The earlier parser: every verb's subparser, built by hand."""
@@ -447,33 +446,23 @@ def parse_outcome(parser, argv):
 
 
 def run_outcome(argv):
-    """Run argv; returns (status, stdout, stderr, the verbs run built its
-    parser for, that parser)."""
-    build, built = cli._build_parser, []
-
-    def spy(verbs):
-        built.append((verbs, build(verbs)))
-        return built[-1][1]
-
+    """Run argv; returns (status, stdout, stderr), with the text reports'
+    elapsed time masked."""
     out, err = io.StringIO(), io.StringIO()
-    with patch.object(cli, "_build_parser", spy), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             status = run(argv)
         except SystemExit as exc:  # argparse usage errors
             status = exc.code
-    (verbs, parser), = built
-    return status, out.getvalue(), err.getvalue(), tuple(verbs), parser
+    return status, re.sub(r"(?m)^elapsed: .*$", "elapsed:", out.getvalue()), err.getvalue()
 
 
 def assert_parses_as_oracle(argv):
-    """run builds one verb's parser exactly when argv starts with a verb,
-    that parser parses argv as the full oracle parser does, and on a usage
+    """run's parser parses argv as the oracle parser does, and on a usage
     error run exits with the oracle's code and output."""
-    status, out, err, verbs, parser = run_outcome(argv)
-    assert verbs == (tuple(argv[:1]) if argv[:1] and argv[0] in VERBS else VERBS), argv
     want = parse_outcome(ORACLE_PARSER, argv)
-    assert parse_outcome(parser, argv) == want, argv
+    assert parse_outcome(cli._build_parser(), argv) == want, argv
+    status, out, err = run_outcome(argv)
     if isinstance(want, tuple):
         assert (status, out, err) == want, argv
     return status, out, err
@@ -533,17 +522,41 @@ _NAME = st.one_of(st.none(), st.sampled_from(VERBS + NEAR_MISSES))
 _JUNK = st.one_of(st.just([]), st.sampled_from(["x", "3", "-"]).map(lambda t: [t]))
 
 
+def fuzz_argv(verb_args, limit, as_json, name, junk, json_first):
+    verb, args = verb_args
+    return ((["--json"] if json_first else []) + [verb if name is None else name]
+            + args + junk + limit + (["--json"] if as_json else []))
+
+
 @given(_ARGV, _LIMIT, st.booleans(), _NAME, _JUNK, st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_fuzz_every_verb(verb_args, limit, as_json, name, junk, json_first):
-    verb, args = verb_args
-    argv = ((["--json"] if json_first else []) + [verb if name is None else name]
-            + args + junk + limit + (["--json"] if as_json else []))
+    argv = fuzz_argv(verb_args, limit, as_json, name, junk, json_first)
     status, out, err = assert_parses_as_oracle(argv)
     assert status in (0, 1, 2), argv
     assert "Traceback" not in err, argv
     if status:
         assert out == "", argv
+
+
+# the grid holds -h of every verb and the near-miss verbs
+_ANY_ARGV = st.one_of(
+    st.sampled_from(_PARSER_GRID),
+    st.builds(fuzz_argv, _ARGV, _LIMIT, st.booleans(), _NAME, _JUNK, st.booleans()),
+)
+
+
+@given(st.lists(_ANY_ARGV, min_size=2, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_calls_share_no_state(argvs):
+    # one process's run over the sequence, against each argv run on a
+    # freshly built parser
+    in_sequence = [run_outcome(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run_outcome(argv))
+    assert in_sequence == fresh, argvs
 
 
 # --- the report writer against json.dumps -------------------------------------

@@ -347,6 +347,16 @@ class TestSerialization:
         div = Divisor(b, (b.f(), b.s() + b.s() + b.f() - b.e(1)), ("F", "C"), marked=None)
         assert divisor_from_json(divisor_to_json(div)) == div
 
+    def test_list_built_divisor_is_stored_as_tuples(self):
+        a = Ambient(CP2, 1)
+        comps, labels = [a.h(), a.h() - a.e(1)], ["L", "C"]
+        listed = Divisor(a, comps, labels, marked=0)
+        twin = Divisor(a, tuple(comps), tuple(labels), marked=0)
+        assert listed == twin and hash(listed) == hash(twin)
+        assert divisor_from_dict(divisor_to_dict(listed)) == listed
+        comps.pop()  # the divisor keeps its own copy
+        assert len(listed) == 2
+
 
 # --- the copy-then-subtract blowups, kept as oracles ------------------------
 
@@ -627,8 +637,7 @@ def product_classes_oracle(n):
 
 
 def assert_sound(div):
-    """Hashable, and equal to its own serialization round trip: both
-    fail when the components or labels are not tuples."""
+    """Hashable, and equal to its own serialization round trip."""
     hash(div)
     assert divisor_from_dict(divisor_to_dict(div)) == div
 

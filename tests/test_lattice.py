@@ -382,6 +382,24 @@ def symmetric_matrices(draw, max_size=8):
     return tuple(map(tuple, g))
 
 
+@st.composite
+def non_forms(draw):
+    """Matrices that are not symmetric forms: ragged, non-square, or
+    square with one off-diagonal pair unequal."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+                             min_size=1, max_size=4).filter(
+            lambda m: any(len(r) != len(m) for r in m)))
+    n = draw(st.integers(2, 4))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    i, j = draw(st.permutations(range(n)))[:2]
+    m[i][j] += draw(st.integers(1, 5))
+    return m
+
+
 class TestSymmetricElimination:
     def test_empty(self):
         assert _sym_eliminate(()) == (1, (0, 0, 0))
@@ -417,6 +435,18 @@ class TestSymmetricElimination:
             signature(((0, 1), (2, 0)))
         with pytest.raises(DomainError):
             signature(((0, 1, 2), (1, 0, 3)))
+
+    @given(non_forms())
+    @example([[2], [2]])
+    @example([[2, 1, 0]])
+    @example([[0, 1], [2, 0]])
+    @settings(max_examples=200, deadline=None)
+    def test_parity_refuses_as_signature_does(self, m):
+        with pytest.raises(DomainError) as by_signature:
+            signature(m)
+        with pytest.raises(DomainError) as by_parity:
+            parity(m)
+        assert str(by_parity.value) == str(by_signature.value)
 
     @given(symmetric_matrices())
     @settings(max_examples=300, deadline=None)
