@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _ints
 from .sl2z import orientation_reversal
 
 __all__ = [
@@ -44,11 +44,11 @@ DEFAULT_LIMIT = 14
 
 
 def _as_seq(s):
-    entries = tuple(s)
+    entries = _ints(s, "sequence entries")
     if len(entries) < 2:
         raise DomainError("sequence must have length >= 2, got %s" % (entries,))
     for x in entries:
-        if not isinstance(x, int) or x < 0:
+        if x < 0:
             raise DomainError("sequence entries must be nonnegative integers, got %r" % (x,))
     return entries
 
@@ -114,7 +114,7 @@ def dominated_blowups(c):
     the first chain to its own sequence, so skipping revisits loses no
     endpoint and keeps the order in which a walk over every chain first
     reaches them."""
-    goal = tuple(c)
+    goal = _ints(c, "sequence entries")
     built = set()
 
     def walk(s, path):

@@ -47,7 +47,7 @@ from .blowup import (
     embeddability_witness,
     path_to,
 )
-from .errors import DomainError
+from .errors import DomainError, _ints
 from .sl2z import Mat2, monodromy, orientation_reversal
 
 __all__ = [
@@ -344,7 +344,7 @@ def cycle_monodromy(weights, edge_sign_product: int) -> Mat2:
     composes to the string (1-e, 0, -1) on the nose.  Boundary data
     depends only on the edge-sign product, not the individual signs.
     """
-    w = tuple(int(x) for x in weights)
+    w = _ints(weights, "weights")
     if len(w) < 2:
         raise DomainError("cycle needs at least two weights")
     if edge_sign_product not in (1, -1):
@@ -430,10 +430,10 @@ def cycle_cap_from_path(weights, path) -> Divisor:
     component order.  Each component is written once, as a row of
     1 + N0 coordinates.
     """
-    c = tuple(int(x) for x in weights)
+    c = _ints(weights, "weights")
     if len(c) < 2:
         raise DomainError("cycle cap needs a weight string of length >= 2")
-    path = tuple(path)
+    path = _ints(path, "path moves")
     s = (0, 0)
     for move in path:
         # a move blows up the node of components move and move + 1 of
@@ -530,8 +530,9 @@ def divisor_to_dict(div: Divisor) -> dict:
 
 
 def divisor_from_dict(data: dict) -> Divisor:
-    amb = Ambient(data["ambient"]["model"], data["ambient"]["blowups"])
-    comps = tuple(HClass(amb, tuple(entry["coords"])) for entry in data["components"])
+    (blowups,) = _ints((data["ambient"]["blowups"],), "blowup count")
+    amb = Ambient(data["ambient"]["model"], blowups)
+    comps = tuple(HClass(amb, _ints(c["coords"], "coordinates")) for c in data["components"])
     labels = tuple(entry["label"] for entry in data["components"])
     return Divisor(amb, comps, labels, data.get("marked"))
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and _ints, its one reader
+of integer sequences and matrix rows: int and bool entries pass and any
+other entry raises DomainError, so nothing is truncated or parsed."""
+
+from operator import index
 
 
 class DomainError(ValueError):
@@ -7,3 +11,18 @@ class DomainError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An enumeration would exceed its configured size limit."""
+
+
+def _ints(values, what) -> tuple:
+    """The entries of values, read once, as a tuple of ints converted
+    with operator.index; DomainError names the first other entry.  Mat2
+    and HClass.__mul__ keep their own isinstance checks, which refuse the
+    same float, Fraction, Decimal and str entries: Mat2's runs on every
+    2x2 product, and HClass scales by one scalar, not a sequence."""
+    out = []
+    for x in values:
+        try:
+            out.append(index(x))
+        except TypeError:
+            raise DomainError("%s must be integers, got %r" % (what, x)) from None
+    return tuple(out)

@@ -1,7 +1,8 @@
 """Exact integer linear algebra for intersection forms.
 
-Matrices are sequences of equal-length rows of Python integers; results
-are returned as tuples of tuples.  Everything is exact: Smith normal
+Matrices are sequences of equal-length rows of Python integers, read
+through errors._ints, so a non-integer entry raises DomainError rather
+than being truncated; results are returned as tuples of tuples.  Everything is exact: Smith normal
 form with its unimodular transforms, saturated kernels, Gram
 determinants, parity and signature.  The determinant of any square
 matrix, and the signature and negative definiteness of a symmetric
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import DomainError
+from .errors import DomainError, _ints
 
 __all__ = [
     "smith_normal_form",
@@ -48,7 +49,7 @@ ODD = "odd"
 
 
 def _copy(mat):
-    rows = [list(map(int, row)) for row in mat]
+    rows = [list(_ints(row, "matrix entries")) for row in mat]
     if rows:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
@@ -122,7 +123,8 @@ def smith_normal_form(mat):
     multiplies mat first by whichever of u and v makes the cheaper
     product by a bit-length estimate; the product is exact either way.
     """
-    a = _copy(mat)
+    m = _copy(mat)
+    a = [row[:] for row in m]
     nr = len(a)
     nc = len(a[0]) if nr else 0
     u = _identity(nr)
@@ -218,7 +220,6 @@ def smith_normal_form(mat):
     d = tuple(tuple(row) for row in a)
     u = tuple(tuple(row) for row in u)
     v = tuple(tuple(row) for row in v)
-    m = _copy(mat)
     if _product_cost(m, v) < _product_cost(u, m):
         check = _mat_mul(u, _mat_mul(m, v))
     else:
@@ -436,16 +437,9 @@ class LatticeInvariants:
 def orthogonal_complement(ambient_gram, vectors) -> Sublattice:
     """The saturated sublattice of integer vectors pairing to zero with
     every given vector, under the (symmetric) ambient Gram matrix."""
-    gram = tuple(tuple(map(int, row)) for row in ambient_gram)
+    gram = tuple(map(tuple, _symmetric(ambient_gram)))
     n = len(gram)
-    for row in gram:
-        if len(row) != n:
-            raise DomainError("ambient Gram matrix must be square")
-    for i in range(n):
-        for j in range(n):
-            if gram[i][j] != gram[j][i]:
-                raise DomainError("ambient Gram matrix must be symmetric")
-    vecs = [tuple(map(int, v)) for v in vectors]
+    vecs = [_ints(v, "vector entries") for v in vectors]
     for v in vecs:
         if len(v) != n:
             raise DomainError("vector length %d does not match ambient rank %d" % (len(v), n))
@@ -481,7 +475,7 @@ def gram_matrix(sub: Sublattice):
 
 def gram_invariants(gram) -> LatticeInvariants:
     """Invariants of an explicit symmetric Gram matrix."""
-    rows = tuple(tuple(map(int, r)) for r in gram)
+    rows = _copy(gram)
     return _gram_invariants(rows, smith_diagonal(rows))
 
 
@@ -547,7 +541,7 @@ def _graph_gram(weights, signed_edges):
 
 def diagonal_gram(entries):
     """Diagonal Gram matrix with the given entries."""
-    return _graph_gram(tuple(map(int, entries)), ())
+    return _graph_gram(_ints(entries, "diagonal entries"), ())
 
 
 def cycle_graph_gram(weights, edge_signs=None):
@@ -556,11 +550,11 @@ def cycle_graph_gram(weights, edge_signs=None):
     last edge closing the cycle.  Edge signs default to all +1.  A
     length-two cycle is a double edge, so its off-diagonal entry is the
     sum of the two edge signs."""
-    w = tuple(map(int, weights))
+    w = _ints(weights, "weights")
     n = len(w)
     if n < 2:
         raise DomainError("a cycle needs at least two vertices")
-    signs = tuple(edge_signs) if edge_signs is not None else (1,) * n
+    signs = _ints(edge_signs, "edge signs") if edge_signs is not None else (1,) * n
     if len(signs) != n:
         raise DomainError("need one sign per edge, got %d for %d edges" % (len(signs), n))
     return _graph_gram(w, [(i, (i + 1) % n, sign) for i, sign in enumerate(signs)])
@@ -569,9 +563,9 @@ def cycle_graph_gram(weights, edge_signs=None):
 def tree_graph_gram(weights, edges):
     """Intersection matrix of a plumbing tree: diagonal weights and a
     +1 entry for every edge (i, j)."""
-    w = tuple(map(int, weights))
+    w = _ints(weights, "weights")
     n = len(w)
-    edges = tuple(edges)
+    edges = tuple(_ints(edge, "edge endpoints") for edge in edges)
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise DomainError("bad edge (%d, %d)" % (i, j))

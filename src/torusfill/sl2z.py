@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import DomainError
+from .errors import DomainError, _ints
 
 __all__ = [
     "Mat2",
@@ -113,12 +113,9 @@ def standard_factor(c: int) -> Mat2:
 
 
 def _as_string(d):
-    entries = tuple(d)
+    entries = _ints(d, "monodromy string entries")
     if not entries:
         raise DomainError("monodromy string must be nonempty")
-    for x in entries:
-        if not isinstance(x, int):
-            raise DomainError("monodromy string entries must be integers, got %r" % (x,))
     return entries
 
 

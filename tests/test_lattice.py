@@ -29,6 +29,7 @@ from torusfill.lattice import (
     parity,
     radical_and_quotient,
     signature,
+    smith_diagonal,
     smith_normal_form,
     tree_graph_gram,
 )
@@ -90,6 +91,16 @@ class TestSmithNormalForm:
         assert integer_kernel([[], []]) == ()
         assert cokernel_invariants([[], []]) == (2, ())
         assert orthogonal_complement((), [()]) == Sublattice((), ())
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [smith_normal_form, smith_diagonal, integer_kernel, determinant, signature, gram_invariants],
+    ids=lambda fn: fn.__name__,
+)
+def test_matrix_generators_are_read_once(fn):
+    m = [[2, 4, 0], [4, -6, 2], [0, 2, 8]]
+    assert fn(iter(m)) == fn(row for row in m) == fn(m)
 
 
 class TestCokernel:
@@ -944,10 +955,21 @@ def _gram_outcome(build, *args):
     return q, [[type(x) for x in row] for row in q]
 
 
+def _first_non_integer(reads):
+    """The refusal of the first str or Fraction entry among the named
+    sequences, in reading order, or None when every entry is an int or
+    a bool."""
+    for what, values in reads:
+        for x in values:
+            if isinstance(x, (str, Fraction)):
+                return "DomainError: %s must be integers, got %r" % (what, x)
+    return None
+
+
 class TestPlumbingBuildersMatchOracles:
     def test_random_inputs(self):
         rng = random.Random(0)
-        messages = set()
+        messages, refused = set(), set()
         for _ in range(3000):
             n = rng.randint(0, 6)
             weights = [rng.choice((rng.randint(-6, 6), str(rng.randint(-3, 3)), True))
@@ -955,12 +977,22 @@ class TestPlumbingBuildersMatchOracles:
             signs = rng.choice((None, [rng.choice((1, -1, 2, Fraction(1, 2)))
                                        for _ in range(rng.choice((n, n, n + 1, max(n - 1, 0))))]))
             edges = [(rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 5))]
-            for build, oracle, args in (
-                (diagonal_gram, diagonal_gram_oracle, (weights,)),
-                (cycle_graph_gram, cycle_graph_gram_oracle, (weights, signs)),
-                (tree_graph_gram, tree_graph_gram_oracle, (weights, edges)),
+            # the drawn sequences that may hold a str or a Fraction, named and
+            # in reading order; a cycle reads its signs only once it has two
+            # vertices
+            signs_read = [("edge signs", signs)] if signs is not None and n >= 2 else []
+            for build, oracle, args, reads in (
+                (diagonal_gram, diagonal_gram_oracle, (weights,), [("diagonal entries", weights)]),
+                (cycle_graph_gram, cycle_graph_gram_oracle, (weights, signs),
+                 [("weights", weights)] + signs_read),
+                (tree_graph_gram, tree_graph_gram_oracle, (weights, edges), [("weights", weights)]),
             ):
                 got = _gram_outcome(build, *args)
+                refusal = _first_non_integer(reads)
+                if refusal is not None:
+                    assert got == refusal, (build.__name__, args)
+                    refused.add(refusal.split(" must")[0])
+                    continue
                 assert got == _gram_outcome(oracle, *args), (build.__name__, args)
                 if isinstance(got, str):
                     messages.add(got.split(",")[0].split("(")[0])
@@ -969,6 +1001,12 @@ class TestPlumbingBuildersMatchOracles:
             "DomainError: a cycle needs at least two vertices",
             "DomainError: need one sign per edge",
             "DomainError: bad edge ",
+        }
+        # and a str weight or a Fraction sign is refused wherever it is read
+        assert refused == {
+            "DomainError: diagonal entries",
+            "DomainError: weights",
+            "DomainError: edge signs",
         }
 
     def test_generators_are_read_once(self):
