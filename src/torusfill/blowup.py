@@ -60,6 +60,7 @@ def _blowup(s, i):
 def blowup_at(s, i: int):
     """Blow up the sequence s at position i (1-based, 1 <= i <= len - 1)."""
     entries = _as_seq(s)
+    (i,) = _ints((i,), "blowup position")
     if not 1 <= i <= len(entries) - 1:
         raise DomainError(
             "blowup position %d out of range 1..%d" % (i, len(entries) - 1)

@@ -379,13 +379,14 @@ def _report_lattice(args):
         "smith_diagonal": list(diag),
         "cokernel": {"free_rank": free_rank, "torsion": list(torsion)},
     }
-    rows = len(gram)
-    if rows and len(gram[0]) == rows and all(
-        gram[i][j] == gram[j][i] for i in range(rows) for j in range(rows)
-    ):
+    try:
+        # the parser gives nonempty integer rows of one length, so the
+        # one refusal left is a Gram that is not a symmetric form
         inv = lat._gram_invariants(gram, diag)
-        report["invariants"] = _invariants_dict(inv)
-        report["negative_definite"] = lat._negative_definite(inv.signature)
+    except DomainError:
+        return report
+    report["invariants"] = _invariants_dict(inv)
+    report["negative_definite"] = lat._negative_definite(inv.signature)
     return report
 
 

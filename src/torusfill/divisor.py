@@ -12,9 +12,10 @@ Cap constructions start from two configurations of complex curves in
 the plane: three lines in general position (a triangle of h classes)
 and a line plus a conic (classes h and 2h).  Blowing up generic points
 and nodes produces the cycle-shaped configurations whose boundaries are
-the torus bundles of interest; each builder asserts that the resulting
-dual graph is exactly the advertised one and that the total class stays
-anticanonical.
+the torus bundles of interest.  Every builder ends in one certificate,
+_cap: the divisor is marked at component 0, its dual graph is asserted
+to be exactly the advertised one, vertex weights and the whole edge
+map, and its total class to be anticanonical.
 
 Blowups write each class once, in the grown ambient, through one
 private writer, _pad: every component is padded with one coordinate
@@ -23,14 +24,14 @@ point (its proper transform) and 0 elsewhere.  blowup_generic and
 blowup_node_total pad a divisor's rows; the elliptic, parabolic and
 single hyperbolic caps pad their base degrees, (1, 1, 1) for the
 lines and (1, 2) for the line and conic, in one call; fillings pads
-the distinguished family and the product-model parabolic classes the
-same way.  The cycle caps of the census, its hot path, skip the
-growing: the path of node blowups fixes the ambient in advance,
-N0 = len(path) + sum(c_i - s_i) exceptional classes for weights c and
-path endpoint s, with e_1, ..., e_len(path) taken by the node blowups
-in chain order and the rest by the generic blowups in component order,
-so cycle_cap_from_path writes every component once as a row of fixed
-width 1 + N0.
+the product-model parabolic pair the same way and certifies it with
+_cap.  The cycle caps, those of the census (its hot path) and the two
+of the distinguished family alike, skip the growing: the path of node
+blowups fixes the ambient in advance, N0 = len(path) + sum(c_i - s_i)
+exceptional classes for weights c and path endpoint s, with e_1, ...,
+e_len(path) taken by the node blowups in chain order and the rest by
+the generic blowups in component order, so cycle_cap_from_path writes
+every component once as a row of fixed width 1 + N0.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ class Ambient:
     def __post_init__(self):
         if self.model not in (CP2, S2XS2):
             raise DomainError("unknown ambient model %r" % (self.model,))
-        if self.blowups < 0:
+        (blowups,) = _ints((self.blowups,), "blowup count")
+        object.__setattr__(self, "blowups", blowups)
+        if blowups < 0:
             raise DomainError("blowup count must be nonnegative")
 
     @property
@@ -335,6 +338,18 @@ def blowup_node_total(div: Divisor, i: int, j: int) -> Divisor:
     return result
 
 
+def _cap(amb: Ambient, classes, labels, weights, edges) -> Divisor:
+    """The certificate every cap builder ends in: the divisor of
+    `classes` in `amb`, marked at component 0, asserted to have exactly
+    the dual graph (weights, edges), edge map included, and the
+    anticanonical total class."""
+    div = Divisor(amb, classes, labels, 0)
+    got = dual_graph(div)
+    assert got == (weights, edges), "cap produced %s, wanted %s" % (got, (weights, edges))
+    assert is_anticanonical(div)
+    return div
+
+
 def cycle_monodromy(weights, edge_sign_product: int) -> Mat2:
     """Boundary monodromy of a cycle plumbing with the given vertex
     weights, up to the sign of the product of its edge signs.
@@ -369,18 +384,13 @@ def elliptic_cap(epsilon: int, side: str) -> Divisor:
     if epsilon not in (-1, 0, 1):
         raise DomainError("epsilon must be one of -1, 0, 1, got %r" % (epsilon,))
     if side == "left":
-        div = Divisor(*_pad(CP2, ((1,), (1,), (1,)), [((1,), 1), ((2,), 2 - epsilon)]),
-                      ("L1", "L2", "L3"), marked=0)
-        target = (1, 0, epsilon - 1)
-    elif side == "right":
-        div = Divisor(*_pad(CP2, ((1,), (2,)), [((0,), 2), ((1,), 6 - epsilon)]),
-                      ("L", "C"), marked=0)
-        target = (-1, epsilon - 2)
-    else:
-        raise DomainError("side must be 'left' or 'right', got %r" % (side,))
-    weights, _ = dual_graph(div)
-    assert weights == target and is_anticanonical(div)
-    return div
+        return _cap(*_pad(CP2, ((1,), (1,), (1,)), [((1,), 1), ((2,), 2 - epsilon)]),
+                    ("L1", "L2", "L3"), (1, 0, epsilon - 1),
+                    {(0, 1): 1, (0, 2): 1, (1, 2): 1})
+    if side == "right":
+        return _cap(*_pad(CP2, ((1,), (2,)), [((0,), 2), ((1,), 6 - epsilon)]),
+                    ("L", "C"), (-1, epsilon - 2), {(0, 1): 2})
+    raise DomainError("side must be 'left' or 'right', got %r" % (side,))
 
 
 def parabolic_cap(n: int) -> Divisor:
@@ -392,10 +402,8 @@ def parabolic_cap(n: int) -> Divisor:
             "no cap for n > 4: the configuration does not embed in any "
             "closed model (n = %d)" % n
         )
-    div = Divisor(*_pad(CP2, ((1,), (2,)), [((0,), 1), ((1,), 4 - n)]), ("L", "C"), marked=0)
-    weights, edges = dual_graph(div)
-    assert weights == (0, n) and edges == {(0, 1): 2} and is_anticanonical(div)
-    return div
+    return _cap(*_pad(CP2, ((1,), (2,)), [((0,), 1), ((1,), 4 - n)]), ("L", "C"),
+                (0, n), {(0, 1): 2})
 
 
 def hyperbolic_single_cap(c1: int) -> Divisor:
@@ -404,10 +412,8 @@ def hyperbolic_single_cap(c1: int) -> Divisor:
     is the double edge (+1, 2 - c1).  Requires c1 >= 3."""
     if c1 < 3:
         raise DomainError("single-vertex weight must be >= 3, got %d" % c1)
-    div = Divisor(*_pad(CP2, ((1,), (2,)), [((1,), c1 + 2)]), ("L", "C"), marked=0)
-    weights, edges = dual_graph(div)
-    assert weights == (1, 2 - c1) and edges == {(0, 1): 2} and is_anticanonical(div)
-    return div
+    return _cap(*_pad(CP2, ((1,), (2,)), [((1,), c1 + 2)]), ("L", "C"),
+                (1, 2 - c1), {(0, 1): 2})
 
 
 def cycle_cap_from_path(weights, path) -> Divisor:
@@ -458,16 +464,10 @@ def cycle_cap_from_path(weights, path) -> Divisor:
         row[first:first + ci - si] = [-1] * (ci - si)
         first += ci - si
     amb = Ambient(CP2, n_blowups)
-    div = Divisor(amb, tuple(HClass(amb, tuple(row)) for row in rows), tuple(labels), 0)
     ell = len(c)
-    target = (1,) + tuple(
-        1 - c[k] if k in (0, ell - 1) else -c[k] for k in range(ell)
-    )
-    got, edges = dual_graph(div)
-    assert got == target, "cycle cap produced %s, wanted %s" % (got, target)
-    assert all(v == 1 for v in edges.values()) and len(edges) == ell + 1
-    assert is_anticanonical(div)
-    return div
+    return _cap(amb, tuple(HClass(amb, tuple(row)) for row in rows), tuple(labels),
+                (1, 1 - c[0]) + tuple(-x for x in c[1:-1]) + (1 - c[-1],),
+                dict.fromkeys([(k, k + 1) for k in range(ell)] + [(0, ell)], 1))
 
 
 def hyperbolic_cycle_cap(d, witness: EmbeddingWitness | None = None,
@@ -530,11 +530,15 @@ def divisor_to_dict(div: Divisor) -> dict:
 
 
 def divisor_from_dict(data: dict) -> Divisor:
-    (blowups,) = _ints((data["ambient"]["blowups"],), "blowup count")
-    amb = Ambient(data["ambient"]["model"], blowups)
+    amb = Ambient(data["ambient"]["model"], data["ambient"]["blowups"])
     comps = tuple(HClass(amb, _ints(c["coords"], "coordinates")) for c in data["components"])
     labels = tuple(entry["label"] for entry in data["components"])
-    return Divisor(amb, comps, labels, data.get("marked"))
+    marked = data.get("marked")
+    if marked is not None:
+        (marked,) = _ints((marked,), "marked component")
+        if not 0 <= marked < len(comps):
+            raise DomainError("marked component %d out of range 0..%d" % (marked, len(comps) - 1))
+    return Divisor(amb, comps, labels, marked)
 
 
 def divisor_to_json(div: Divisor) -> str:

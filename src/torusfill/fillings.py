@@ -17,16 +17,17 @@ Three computations live here.
   survivor per model.  Each survivor is asserted to be that model's
   parabolic cap; the plane's is parabolic_cap(n).
 
-* The distinguished-filling family: two cycle configurations with the
-  same dual graph whose orthogonal complements have different Gram
-  determinants, computed from scratch for every family parameter and
-  compared against the closed formulas (-1)^(N+1) (9N+20) and
-  (-1)^(N+1) 9 (9N+20).  The complement invariants of these and of the
-  census configurations all go through complement_invariants, which
-  reads them off the configuration side: the ambient lattice is
-  unimodular, so a nondegenerate saturated span and its complement
-  share their discriminant group (_span_invariants gives the
-  argument).  Where a hypothesis fails, its fallback is one
+* The distinguished-filling family: two census configurations of the
+  bundle whose reversal is (3, 3 + n, 3, 2, 3, 3), built by the
+  census's own cap builder, with the same dual graph and orthogonal
+  complements of different Gram determinants, computed afresh
+  for every family parameter and compared against the closed formulas
+  (-1)^(N+1) (9N+20) and (-1)^(N+1) 9 (9N+20).  The complement
+  invariants of these and of the census configurations all go through
+  complement_invariants, which reads them off the configuration side:
+  the ambient lattice is unimodular, so a nondegenerate saturated span
+  and its complement share their discriminant group (_span_invariants
+  gives the argument).  Where a hypothesis fails, its fallback is one
   radical_and_quotient of the built complement.
 
 Contact-structure counting is integer bookkeeping: rotation-number
@@ -51,6 +52,7 @@ from .divisor import (
     Ambient,
     Divisor,
     HClass,
+    _cap,
     _pad,
     _pair,
     blowup_node_total,
@@ -429,14 +431,15 @@ def _filter_parabolic(n: int, raw: dict) -> list:
     b, cs = _sole_survivor(raw[S2XS2], n)
     units = (1,) * (4 - n)
     assert ((a, b1, rest), (b, cs)) == ((2, 0, units), (1, units))
+    # f and 2s + f - e_1 - ... - e_{4-n}, whose sum is anticanonical
+    product = _cap(*_pad(S2XS2, ((0, 1), (2, 1)), [((1,), 4 - n)]), ("F", "C"),
+                   (0, n), {(0, 1): 2})
     models = (
         (CP2, a, b1, (b1,) + rest, parabolic_cap(n).components),
-        # f and 2s + f - e_1 - ... - e_{4-n}
-        (S2XS2, 2, b, cs, _pad(S2XS2, ((0, 1), (2, 1)), [((1,), 4 - n)])[1]),
+        (S2XS2, 2, b, cs, product.components),
     )
     solutions = []
     for model, a, b, coefficients, (fiber, conic) in models:
-        assert fiber.dot(fiber) == 0 and conic.dot(conic) == n and fiber.dot(conic) == 2
         solutions.append(ParabolicSolution(
             model=model,
             a=a,
@@ -454,46 +457,30 @@ def _filter_parabolic(n: int, raw: dict) -> list:
 # --- distinguished filling family ------------------------------------------
 
 
-# The family classes at n = 0, as rows (h; e_1, ..., e_9).
-_FAMILY_FIRST = (
-    (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),  # h
-    (1, -1, -1, 0, -1, 0, 0, 0, 0, 0),  # h - e1 - e2 - e4
-    (0, 0, 0, 0, 1, -1, -1, 0, 0, 0),  # e4 - e5 - e6
-    (0, 0, 1, -1, -1, 0, 0, 0, 0, 0),  # e2 - e3 - e4
-    (0, 0, 0, 1, 0, 0, 0, -1, 0, 0),  # e3 - e7
-    (0, 1, -1, -1, 0, 0, 0, 0, 0, 0),  # e1 - e2 - e3
-    (1, -1, 0, 0, 0, 0, 0, 0, -1, -1),  # h - e1 - e8 - e9
-)
-_FAMILY_SECOND = (
-    (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),  # h
-    (1, -1, -1, 0, 0, -1, 0, 0, 0, 0),  # h - e1 - e2 - e5
-    (0, 0, 1, -1, -1, 0, 0, 0, 0, 0),  # e2 - e3 - e4
-    (0, 0, 0, 0, 1, 0, -1, -1, 0, 0),  # e4 - e6 - e7
-    (0, 0, 0, 1, -1, 0, 0, 0, 0, 0),  # e3 - e4
-    (0, 1, -1, -1, 0, 0, 0, 0, 0, 0),  # e1 - e2 - e3
-    (1, -1, 0, 0, 0, 0, 0, 0, -1, -1),  # h - e1 - e8 - e9
-)
-
-
 def family_configuration_divisors(n: int):
-    """The two seven-sphere cycle configurations in a 9 + n fold blowup
-    of the plane sharing one dual graph; the extra n blowups sit on the
-    third sphere of each cycle.
+    """The two seven-sphere cycle configurations of the distinguished
+    family, in a 9 + n fold blowup of the plane, sharing one dual graph:
+    the census caps of the bundle of d_n = (3, 3, 4, 3) + (2,) * n + (3,),
+    built by cycle_cap_from_path from c = (3, 3 + n, 3, 2, 3, 3), the
+    orientation reversal of d_n.
+
+    The chains (1, 1, 1, 3) and (1, 1, 2, 2) are the walk's
+    lexicographically first chains to the endpoints (3, 1, 3, 1, 3, 1)
+    and (2, 3, 1, 2, 3, 1), so both caps are members of
+    hyperbolic_filling_census(d_n).configurations.  Such a chain depends
+    on the endpoint only, not on n, because the walk's pruning never
+    cuts a prefix of a chain to a dominated endpoint.
 
     The span of the first configuration has index three in its
     saturation, which is what divides its complement determinant by
-    nine relative to the second; the extra blowups must land on a
-    sphere whose coefficient in the index-three relation vanishes, and
-    among the -3 spheres only the third one both preserves the relation
-    and yields the determinant profile 81n + 180 of the shared graph.
-
-    Each class is written once, as its n = 0 row padded by
-    divisor._pad with n generic points on the third sphere: -1 on
-    e_10, ..., e_(9+n) for that sphere, 0 for the others.
+    nine relative to the second; the n extra generic blowups, on the
+    third sphere, must land on a sphere whose coefficient in the
+    index-three relation vanishes, and among the -3 spheres only the
+    third one both preserves the relation and yields the determinant
+    profile 81n + 180 of the shared graph.
     """
-    labels = tuple("C%d" % i for i in range(7))
-    return tuple(Divisor(*_pad(CP2, table, [((2,), n)]), labels, marked=0)
-                 for table in (_FAMILY_FIRST, _FAMILY_SECOND))
+    c = (3, 3 + n, 3, 2, 3, 3)
+    return tuple(cycle_cap_from_path(c, chain) for chain in ((1, 1, 1, 3), (1, 1, 2, 2)))
 
 
 def _span_invariants(amb: Ambient, rows):
@@ -613,8 +600,10 @@ def distfill_family(n: int, limit: int = 50) -> DistFillResult:
     """Gram determinants and parities of the sublattices orthogonal to
     the two distinguished configurations with family parameter n >= 0.
 
-    Both configurations of family_configuration_divisors go through
-    complement_invariants, and no complement basis is built:
+    Both configurations of family_configuration_divisors, two census
+    caps of the bundle of (3, 3, 4, 3) + (2,) * n + (3,), each certified
+    by cycle_cap_from_path, go through complement_invariants, and no
+    complement basis is built:
     _span_invariants takes the saturated span S of each class list from
     the Smith form of the class rows themselves (never from a guessed
     basis), and reads the complement's rank, signature, signed

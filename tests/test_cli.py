@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -673,3 +675,55 @@ def test_closed_pipe_exits_1_without_traceback(json_flag):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""  # no traceback, no "Exception ignored" at exit
+
+
+def _digest_grid():
+    """Every argv of the pinned sweep, in order: distfill --n -2..60 and
+    51..60 under --limit 60, cap and parabolic --n -9..5, cap --c1 1..19,
+    both elliptic sides at epsilon -2..2, the five string verbs on every
+    string over {2, 3, 4, 5} of length <= 5, and 480 seeded lattice
+    Grams, one third each drawn symmetric, square and non-square."""
+    grid = [["distfill", "--n", str(n)] for n in range(-2, 61)]
+    grid += [["distfill", "--n", str(n), "--limit", "60"] for n in range(51, 61)]
+    grid += [[verb, "--n", str(n)] for verb in ("cap", "parabolic") for n in range(-9, 6)]
+    grid += [["cap", "--c1", str(c)] for c in range(1, 20)]
+    grid += [["cap", "--elliptic", side, "--epsilon", str(e)]
+             for side in ("left", "right") for e in range(-2, 3)]
+    grid += [[verb, "--d", _csv(d)] for n in range(1, 6)
+             for d in itertools.product(range(2, 6), repeat=n)
+             for verb in ("cap", "fillings", "classify", "embed", "contact")]
+    rng = random.Random(5)
+    for k in range(480):
+        rows = rng.randint(1, 5)
+        cols = rows if k % 3 else rng.choice([c for c in range(1, 6) if c != rows])
+        gram = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        if k % 3 == 1:
+            gram = [[gram[min(i, j)][max(i, j)] for j in range(rows)] for i in range(rows)]
+        grid.append(["lattice", _gram_arg(gram)])
+    return [argv + ["--json"] for argv in grid]
+
+
+# sha256 per verb over repr((argv, status, stdout, stderr)) of its calls in
+# grid order; a change that moves one byte of a report, a refusal message
+# or an exit status moves its verb's digest, and the assert names the verb
+_REPORT_DIGESTS = {
+    "distfill": "897f6c8a7498897330c5c9a8e2df394f6d73e061e35ffbbf13ec86ab56e14cdd",
+    "cap": "af5a50d68cfbba91c1480ab770e4339304b0b4223876f65b6eb00a93eed4a860",
+    "parabolic": "9d8c3dd6b743b1766d2711b19d512fcb9fe15bde315991d4b4a33930cbac0cee",
+    "fillings": "f1f256ee32cb2676be80c488fc4010ad1788d57dc12bfc4bd934ff0c285369fc",
+    "classify": "7228282e161fe6d836595fb8f3d7b911776078809b930121fa839bdc840bc07e",
+    "embed": "3c578e1e859958316d57e0fef0d89d481162449ae10d09b241076aac868dc3bd",
+    "contact": "e356b14d939fd9073858a7718276b2d20953573ac1cb3b08dd2c97f345379a60",
+    "lattice": "02386f9a4b2b380d51da8e3983f734d9b7005a6a8aeb452630c584dbb0a88ab9",
+}
+
+
+def test_reports_match_pinned_digests(capsys):
+    grid = _digest_grid()
+    assert len(grid) == 7432
+    digests = {}
+    for argv in grid:
+        status, out, err = capture(capsys, argv)
+        digest = digests.setdefault(argv[0], hashlib.sha256())
+        digest.update(repr((argv, status, out, err)).encode())
+    assert {verb: d.hexdigest() for verb, d in digests.items()} == _REPORT_DIGESTS

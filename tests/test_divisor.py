@@ -35,8 +35,7 @@ from torusfill.divisor import (
 )
 from torusfill.errors import DomainError
 from torusfill.fillings import (
-    _FAMILY_FIRST,
-    _FAMILY_SECOND,
+    _canonical_configuration,
     family_configuration_divisors,
     parabolic_solutions,
 )
@@ -347,6 +346,12 @@ class TestSerialization:
         div = Divisor(b, (b.f(), b.s() + b.s() + b.f() - b.e(1)), ("F", "C"), marked=None)
         assert divisor_from_json(divisor_to_json(div)) == div
 
+    @pytest.mark.parametrize("marked", [0.5, "0", 7, -1])
+    def test_marked_must_index_a_component(self, marked):
+        data = divisor_to_dict(elliptic_cap(0, "right"))
+        with pytest.raises(DomainError, match="^marked component "):
+            divisor_from_dict({**data, "marked": marked})
+
     def test_list_built_divisor_is_stored_as_tuples(self):
         a = Ambient(CP2, 1)
         comps, labels = [a.h(), a.h() - a.e(1)], ["L", "C"]
@@ -618,8 +623,31 @@ def hyperbolic_single_cap_oracle(c1):
     return blowup_generic_grow_oracle(_line_conic(), 1, c1 + 2)
 
 
+# The earlier hand tables of the family classes at n = 0, as rows
+# (h; e_1, ..., e_9).
+_FAMILY_FIRST = (
+    (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),  # h
+    (1, -1, -1, 0, -1, 0, 0, 0, 0, 0),  # h - e1 - e2 - e4
+    (0, 0, 0, 0, 1, -1, -1, 0, 0, 0),  # e4 - e5 - e6
+    (0, 0, 1, -1, -1, 0, 0, 0, 0, 0),  # e2 - e3 - e4
+    (0, 0, 0, 1, 0, 0, 0, -1, 0, 0),  # e3 - e7
+    (0, 1, -1, -1, 0, 0, 0, 0, 0, 0),  # e1 - e2 - e3
+    (1, -1, 0, 0, 0, 0, 0, 0, -1, -1),  # h - e1 - e8 - e9
+)
+_FAMILY_SECOND = (
+    (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),  # h
+    (1, -1, -1, 0, 0, -1, 0, 0, 0, 0),  # h - e1 - e2 - e5
+    (0, 0, 1, -1, -1, 0, 0, 0, 0, 0),  # e2 - e3 - e4
+    (0, 0, 0, 0, 1, 0, -1, -1, 0, 0),  # e4 - e6 - e7
+    (0, 0, 0, 1, -1, 0, 0, 0, 0, 0),  # e3 - e4
+    (0, 1, -1, -1, 0, 0, 0, 0, 0, 0),  # e1 - e2 - e3
+    (1, -1, 0, 0, 0, 0, 0, 0, -1, -1),  # h - e1 - e8 - e9
+)
+
+
 def family_configuration_divisors_oracle(n):
-    """The earlier family padding: one conditional tuple per row."""
+    """The earlier family padding of the hand tables: one conditional
+    tuple per row, the n extra classes last, on the third sphere."""
     amb = Ambient(CP2, 9 + n)
     labels = tuple("C%d" % i for i in range(7))
     return tuple(
@@ -664,9 +692,14 @@ class TestPaddedBuildersMatchOracles:
 
     @pytest.mark.parametrize("n", range(61))
     def test_family(self, n):
+        # the census caps number the classes and label the spheres their
+        # own way: the same configuration, up to that relabelling
         divisors = family_configuration_divisors(n)
-        assert divisors == family_configuration_divisors_oracle(n)
-        for div in divisors:
+        oracles = family_configuration_divisors_oracle(n)
+        assert len(divisors) == len(oracles) == 2
+        for div, oracle in zip(divisors, oracles):
+            assert div.ambient == oracle.ambient
+            assert _canonical_configuration(div) == _canonical_configuration(oracle)
             assert_sound(div)
 
     @pytest.mark.parametrize("n", range(-7, 5))

@@ -27,6 +27,9 @@ from test_lattice import (
 from test_sl2z import block_list_reversal
 from torusfill.blowup import blowup_at, dominated_blowups, path_to
 from torusfill.divisor import (
+    CP2,
+    S2XS2,
+    Ambient,
     cycle_cap_from_path,
     cycle_monodromy,
     divisor_from_dict,
@@ -75,7 +78,7 @@ forms = symmetric_matrices(max_size=4).map(lambda g: [list(row) for row in g])
 
 @st.composite
 def complement_inputs(draw):
-    gram = draw(forms.filter(len))
+    gram = draw(forms)
     return gram, draw(st.lists(vectors(len(gram)), max_size=3))
 
 
@@ -96,6 +99,7 @@ def divisor_data(draw):
     return {
         "ambient": {"model": "CP2", "blowups": blowups},
         "components": [{"label": "C%d" % i, "coords": c} for i, c in enumerate(coords)],
+        "marked": draw(st.one_of(st.none(), st.integers(-1, 3))),
     }
 
 
@@ -109,7 +113,7 @@ CASES = {
     "orientation_reversal": (orientation_reversal, st.tuples(strings), block_list_reversal),
     "cyclic_canonical": (cyclic_canonical, st.tuples(strings), None),
     "cyclic_equal": (cyclic_equal, st.tuples(strings, strings), None),
-    "blowup_at": (lambda s: blowup_at(s, 1), st.tuples(sequences), None),
+    "blowup_at": (blowup_at, st.tuples(sequences, st.integers(1, 5)), None),
     "path_to": (path_to, st.tuples(sequences), None),
     "dominated_blowups": (lambda c: list(dominated_blowups(c)), st.tuples(sequences), None),
     "smith_normal_form": (smith_normal_form, st.tuples(matrices), dense_smith_normal_form),
@@ -139,6 +143,7 @@ CASES = {
     "cycle_monodromy": (lambda w: cycle_monodromy(w, 1), st.tuples(strings), None),
     "cycle_cap_from_path": (cycle_cap_from_path, cap_inputs(), cycle_cap_from_path_oracle),
     "divisor_from_dict": (divisor_from_dict, st.tuples(divisor_data()), None),
+    "Ambient": (Ambient, st.tuples(st.sampled_from((CP2, S2XS2)), st.integers(-2, 4)), None),
 }
 
 NON_INTEGERS = st.one_of(
@@ -240,6 +245,12 @@ def test_ints_reads_once_and_names_the_first_bad_entry():
         pytest.param(tree_graph_gram, ([-2, -2], [(0.0, 1)]), id="tree_graph_gram"),
         pytest.param(cycle_monodromy, ([1.7, 2], 1), id="cycle_monodromy"),
         pytest.param(gram_invariants, ([[Decimal("3")]],), id="gram_invariants"),
+        pytest.param(blowup_at, ((0, 0), 1.0), id="blowup_at-position"),
+        pytest.param(Ambient, (CP2, 1.5), id="Ambient-float"),
+        pytest.param(Ambient, (CP2, "2"), id="Ambient-str"),
+        pytest.param(divisor_from_json, ('{"ambient": {"model": "CP2", "blowups": 0}, '
+                                         '"components": [{"label": "L", "coords": [1]}], '
+                                         '"marked": 0.5}',), id="divisor_from_json-marked"),
     ],
 )
 def test_truncating_probes_are_refused(fn, args):

@@ -549,7 +549,11 @@ class TestComplementInvariants:
         amb, *confs = _family_configurations_oracle(n)
         divisors = family_configuration_divisors(n)
         assert [div.ambient for div in divisors] == [amb, amb]
-        assert [list(div.components) for div in divisors] == confs
+        labels = tuple("C%d" % i for i in range(7))
+        for div, classes in zip(divisors, confs):
+            oracle = Divisor(amb, tuple(classes), labels, 0)
+            assert _canonical_configuration(div) == _canonical_configuration(oracle)
+            assert complement_invariants(div) == complement_invariants(oracle)
 
     @pytest.mark.parametrize("n", (100, 200))
     def test_family_matches_complement_route(self, n, complement_calls):
@@ -613,6 +617,14 @@ class TestComplementInvariants:
         assert res.invariants1 != res.invariants2
         keys = set(map(_canonical_configuration, census.configurations))
         assert set(map(_canonical_configuration, family_configuration_divisors(n))) <= keys
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_family_is_two_census_caps(self, n):
+        census = hyperbolic_filling_census((3, 3, 4, 3) + (2,) * n + (3,))
+        assert census.reversal == (3, 3 + n, 3, 2, 3, 3)
+        first, second = family_configuration_divisors(n)
+        assert first != second
+        assert first in census.configurations and second in census.configurations
 
 
 class TestContact:

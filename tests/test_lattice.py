@@ -650,11 +650,12 @@ class TestRadicalOracle:
 
 
 def dense_mat_mul(x, y):
-    """The earlier _mat_mul: every product, zero or not."""
-    if not x or not y:
+    """The earlier _mat_mul: every product, zero or not; one empty row
+    per row of x when y has no columns."""
+    if not x:
         return []
     inner = len(y)
-    cols = len(y[0])
+    cols = len(y[0]) if y else 0
     return [
         [sum(xrow[k] * y[k][j] for k in range(inner)) for j in range(cols)]
         for xrow in x
@@ -855,6 +856,8 @@ class TestZeroSkippingKernel:
     @given(smith_inputs())
     @example([[0, 0], [0, 0]])
     @example([[4, 6], [6, 9]])
+    @example([[]])
+    @example([[], []])
     @settings(max_examples=400, deadline=None)
     def test_smith_form_matches_dense_oracle(self, m):
         assert smith_normal_form(m) == dense_smith_normal_form(m)
