@@ -529,10 +529,31 @@ def divisor_to_dict(div: Divisor) -> dict:
     }
 
 
+def _field(data, key, types, where):
+    # data[key] of a divisor document, refused with DomainError when data
+    # is not an object, the key is missing or the value is not of types
+    if not isinstance(data, dict):
+        raise DomainError("%s must be an object, got %r" % (where, data))
+    if key not in data:
+        raise DomainError("%s has no %r field" % (where, key))
+    value = data[key]
+    if not isinstance(value, types):
+        raise DomainError("%s field %r has the wrong type: %r" % (where, key, value))
+    return value
+
+
 def divisor_from_dict(data: dict) -> Divisor:
-    amb = Ambient(data["ambient"]["model"], data["ambient"]["blowups"])
-    comps = tuple(HClass(amb, _ints(c["coords"], "coordinates")) for c in data["components"])
-    labels = tuple(entry["label"] for entry in data["components"])
+    """The Divisor of a divisor_to_dict document.  A missing or ill-typed
+    field raises DomainError naming it, as do non-integer entries."""
+    ambient = _field(data, "ambient", dict, "divisor")
+    # Ambient checks the model and the blowup count itself
+    amb = Ambient(_field(ambient, "model", object, "ambient"),
+                  _field(ambient, "blowups", object, "ambient"))
+    entries = _field(data, "components", (list, tuple), "divisor")
+    comps = tuple(HClass(amb, _ints(_field(c, "coords", (list, tuple), "component"),
+                                    "coordinates"))
+                  for c in entries)
+    labels = tuple(_field(c, "label", str, "component") for c in entries)
     marked = data.get("marked")
     if marked is not None:
         (marked,) = _ints((marked,), "marked component")

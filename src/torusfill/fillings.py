@@ -27,7 +27,10 @@ Three computations live here.
   complement_invariants, which reads them off the configuration side:
   the ambient lattice is unimodular, so a nondegenerate saturated span
   and its complement share their discriminant group (_span_invariants
-  gives the argument).  Where a hypothesis fails, its fallback is one
+  gives the argument).  The span comes from one Smith form of the class
+  matrix with its equal exceptional columns merged, k x (1 + t) for t
+  distinct columns, in a pairing that weights each merged column by
+  its multiplicity.  Where a hypothesis fails, its fallback is one
   radical_and_quotient of the built complement.
 
 Contact-structure counting is integer bookkeeping: rotation-number
@@ -41,6 +44,7 @@ homogeneous pattern +-(d_j - 2) of the universally tight structures
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 from operator import mul
@@ -54,7 +58,6 @@ from .divisor import (
     HClass,
     _cap,
     _pad,
-    _pair,
     blowup_node_total,
     cycle_cap_from_path,
     is_anticanonical,
@@ -488,16 +491,30 @@ def _span_invariants(amb: Ambient, rows):
     with coordinate tuples `rows` in `amb`, read off their saturated
     span S without building T; None when a hypothesis below fails.
 
-    S comes from one Smith form u * M * v == d of the k x (N + 1) matrix
-    M of the rows (its transforms re-checked as on every call).  Then
-    u * M == d * v^-1, so for i < r = rank M row i of u * M is d_i times
-    row i of the unimodular v^-1, and the rows past r vanish.  Divided
-    exactly by d_i, the first r rows are part of a basis of Z^(N + 1)
-    spanning M's rational row space: a basis of S, never a guessed one.
-    Its r x r Gram (k x k when the classes are independent, as on every
-    cap) goes through gram_invariants once.
+    Merged columns.  Each set of m equal exceptional columns of the
+    k x (N + 1) matrix M of the rows becomes one column of weight -m of
+    the k x (1 + t) matrix M', t the number of distinct exceptional
+    columns, and S is read off M' in the pairing
+    x0 y0 - sum_j m_j x_j y_j.  This is exact.  Equal columns of M stay
+    equal on its whole rational row space, so dropping the duplicate
+    coordinates maps that space one-to-one onto the row space of M', and
+    a vector of it is integral exactly when its image is (the dropped
+    coordinates are copies of kept ones).  So the map takes S onto the
+    saturated span S' of M', and it keeps the pairing: each kept
+    coordinate stands for its m_j copies.  On the distinguished family,
+    where N = 9 + n, t is 7 or 8 at every n.
 
-    Three hypotheses are checked on every call:
+    S' comes from one Smith form u * M' * v == d (its transforms
+    re-checked as on every call).  Then u * M' == d * v^-1, so for
+    i < r = rank M' row i of u * M' is d_i times row i of the unimodular
+    v^-1, and the rows past r vanish.  Divided exactly by d_i, the first
+    r rows are part of a basis of Z^(1 + t) spanning the rational row
+    space of M': a basis of S', never a guessed one.  r <= min(k, 1 + t),
+    where d ends.  Its r x r Gram (k x k when the classes are
+    independent, as on every cap) goes through gram_invariants once.
+
+    Three hypotheses are checked on every call, (2) on the unmerged
+    columns:
     (1) amb blows up the plane, so the ambient lattice L is
     diag(1, -1, ..., -1): unimodular of signature (1, N);
     (2) the rows sum to the anticanonical class K = 3h - e_1 - ... - e_N;
@@ -531,15 +548,19 @@ def _span_invariants(amb: Ambient, rows):
     """
     columns = list(zip(*rows))
     if amb.model == CP2 and tuple(map(sum, columns)) == amb.anticanonical().coords:
-        d, u, _ = smith_normal_form(rows)
+        counts = Counter(columns[1:])
+        merged = [columns[0], *counts]
+        weights = (1, *(-m for m in counts.values()))
+        d, u, _ = smith_normal_form(list(zip(*merged)))
         basis = []
-        for i, coefs in enumerate(u[:amb.rank]):
+        for i, coefs in enumerate(u[:len(merged)]):
             if not d[i][i]:
                 break
-            quotients = [divmod(sum(map(mul, coefs, col)), d[i][i]) for col in columns]
+            quotients = [divmod(sum(map(mul, coefs, col)), d[i][i]) for col in merged]
             assert not any(rem for _, rem in quotients), "saturation must divide exactly"
             basis.append(tuple(q for q, _ in quotients))
-        span = gram_invariants([[_pair(CP2, x, y) for y in basis] for x in basis])
+        span = gram_invariants([[sum(map(mul, weights, map(mul, x, y))) for y in basis]
+                                for x in basis])
         if span.det:
             pos, neg, _ = span.signature
             signature = (1 - pos, amb.blowups - neg, 0)
@@ -605,11 +626,14 @@ def distfill_family(n: int, limit: int = 50) -> DistFillResult:
     by cycle_cap_from_path, go through complement_invariants, and no
     complement basis is built:
     _span_invariants takes the saturated span S of each class list from
-    the Smith form of the class rows themselves (never from a guessed
-    basis), and reads the complement's rank, signature, signed
-    determinant and elementary divisors off the 7 x 7 Gram of S, its
-    parity off the anticanonical total class: the ambient is
-    unimodular, so S and its complement share their discriminant group.
+    the Smith form of the 7 x (1 + t) class matrix whose t <= 8
+    distinct exceptional columns stand for the 9 + n of the ambient,
+    each weighted by its multiplicity (never from a guessed basis), and
+    reads the complement's rank, signature, signed determinant and
+    elementary divisors off the 7 x 7 Gram of S in that weighted
+    pairing, its parity off the anticanonical total class: the ambient
+    is unimodular, so S and its complement share their discriminant
+    group.
     Were a hypothesis to fail, the fallback would be one
     radical_and_quotient of the built complement.  The radical rank is
     asserted to be 0 and the rank n + 3, and the determinants are

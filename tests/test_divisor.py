@@ -352,6 +352,28 @@ class TestSerialization:
         with pytest.raises(DomainError, match="^marked component "):
             divisor_from_dict({**data, "marked": marked})
 
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "divisor has no 'ambient' field"),
+        ("[]", "divisor must be an object, got []"),
+        ('{"ambient": [], "components": []}', "divisor field 'ambient' has the wrong type"),
+        ('{"ambient": {"model": "CP2"}, "components": []}', "ambient has no 'blowups' field"),
+        ('{"ambient": {"model": "CP2", "blowups": 0}}', "divisor has no 'components' field"),
+        ('{"ambient": {"model": "CP2", "blowups": 0}, "components": 7}',
+         "divisor field 'components' has the wrong type"),
+        ('{"ambient": {"model": "CP2", "blowups": 0}, "components": [[1]]}',
+         "component must be an object"),
+        ('{"ambient": {"model": "CP2", "blowups": 0}, "components": [{"coords": [1]}]}',
+         "component has no 'label' field"),
+        ('{"ambient": {"model": "CP2", "blowups": 0}, "components": [{"label": 1, "coords": [1]}]}',
+         "component field 'label' has the wrong type"),
+        ('{"ambient": {"model": "CP2", "blowups": 0}, "components": [{"label": "L", "coords": 5}]}',
+         "component field 'coords' has the wrong type"),
+    ], ids=["empty-object", "array", "ambient-array", "no-blowups", "no-components",
+            "components-int", "component-array", "no-label", "label-int", "coords-int"])
+    def test_malformed_document_is_refused(self, text, message):
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
+            divisor_from_json(text)
+
     def test_list_built_divisor_is_stored_as_tuples(self):
         a = Ambient(CP2, 1)
         comps, labels = [a.h(), a.h() - a.e(1)], ["L", "C"]

@@ -1,4 +1,6 @@
 import itertools
+import random
+from operator import mul
 
 import pytest
 
@@ -10,10 +12,13 @@ from torusfill.divisor import (
     S2XS2,
     Divisor,
     HClass,
+    _pair,
+    blowup_generic,
     blowup_node_total,
     cycle_cap_from_path,
     divisor_to_dict,
     dual_graph,
+    hyperbolic_cycle_cap,
     is_anticanonical,
     parabolic_cap,
 )
@@ -41,12 +46,17 @@ from torusfill.fillings import (
     _filter_parabolic,
     _raw_cp2,
     _raw_s2xs2,
+    _span_invariants,
 )
 from torusfill.lattice import (
+    EVEN,
+    LatticeInvariants,
     cokernel_invariants,
+    gram_invariants,
     lattice_invariants,
     orthogonal_complement,
     radical_and_quotient,
+    smith_normal_form,
 )
 from torusfill.sl2z import (
     cyclic_canonical,
@@ -517,6 +527,41 @@ FALLBACK_INPUTS = [
 ]
 
 
+def _span_invariants_oracle(amb, rows):
+    """The earlier _span_invariants: one Smith form of the whole
+    k x (N + 1) class matrix, every exceptional column kept, and the
+    span Gram in the ambient pairing."""
+    columns = list(zip(*rows))
+    if amb.model == CP2 and tuple(map(sum, columns)) == amb.anticanonical().coords:
+        d, u, _ = smith_normal_form(rows)
+        basis = []
+        for i, coefs in enumerate(u[:amb.rank]):
+            if not d[i][i]:
+                break
+            quotients = [divmod(sum(map(mul, coefs, col)), d[i][i]) for col in columns]
+            assert not any(rem for _, rem in quotients), "saturation must divide exactly"
+            basis.append(tuple(q for q, _ in quotients))
+        span = gram_invariants([[_pair(CP2, x, y) for y in basis] for x in basis])
+        if span.det:
+            pos, neg, _ = span.signature
+            signature = (1 - pos, amb.blowups - neg, 0)
+            return LatticeInvariants(
+                rank=amb.rank - span.rank,
+                det=abs(span.det) * (-1) ** signature[1],
+                parity=EVEN,
+                signature=signature,
+                elementary_divisors=span.elementary_divisors,
+            )
+    return None
+
+
+def _assert_span_matches_oracle(div):
+    amb, rows = div.ambient, [c.coords for c in div.components]
+    got = _span_invariants(amb, rows)
+    assert got == _span_invariants_oracle(amb, rows)
+    return got
+
+
 def _complement_route(amb, rows):
     return lattice_invariants(orthogonal_complement(amb.gram(), rows))
 
@@ -554,6 +599,7 @@ class TestComplementInvariants:
             oracle = Divisor(amb, tuple(classes), labels, 0)
             assert _canonical_configuration(div) == _canonical_configuration(oracle)
             assert complement_invariants(div) == complement_invariants(oracle)
+            assert _assert_span_matches_oracle(div) is not None
 
     @pytest.mark.parametrize("n", (100, 200))
     def test_family_matches_complement_route(self, n, complement_calls):
@@ -563,6 +609,7 @@ class TestComplementInvariants:
             assert radical == 0
             assert inv == _complement_route(div.ambient, [c.coords for c in div.components])
             assert inv.rank == n + 3
+            assert _assert_span_matches_oracle(div) == inv
 
     def test_distfill_never_builds_a_complement(self, complement_calls):
         for n in range(61):
@@ -576,6 +623,7 @@ class TestComplementInvariants:
         for cap in _census_configurations():
             radical, inv = complement_invariants(cap)
             assert not complement_calls
+            assert _assert_span_matches_oracle(cap) == inv
             sub = orthogonal_complement(cap.ambient.gram(), [c.coords for c in cap.components])
             assert inv == lattice_invariants(sub)
             assert radical_and_quotient(sub) == (radical, inv) == (0, inv)
@@ -591,6 +639,7 @@ class TestComplementInvariants:
                       tuple("C%d" % i for i in range(len(rows))))
         got = complement_invariants(div)
         assert complement_calls == [amb.rank]
+        assert _assert_span_matches_oracle(div) is None
         # the earlier route: invariants of the complement, and when they
         # show a radical, the quotient of a second complement
         inv = _complement_route(amb, rows)
@@ -598,6 +647,69 @@ class TestComplementInvariants:
             assert got == radical_and_quotient(orthogonal_complement(amb.gram(), rows))
         else:
             assert got == (0, inv)
+
+    @pytest.mark.parametrize("amb, rows", [
+        # k = 3 rows, t = 1 distinct exceptional column: h, h and
+        # h - e1 - ... - eN span a rank-2 lattice, so d has 1 + t = 2
+        # columns and the basis loop stops there, below amb.rank
+        (Ambient(CP2, 2), [(1, 0, 0), (1, 0, 0), (1, -1, -1)]),
+        (Ambient(CP2, 5), [(1,) + (0,) * 5, (1,) + (0,) * 5, (1,) + (-1,) * 5]),
+        # two distinct columns, each twice, and a zero row: k = 4 > 1 + t
+        (Ambient(CP2, 4), [(1, 0, 0, 0, 0), (1, 0, 0, -1, -1), (1, -1, -1, 0, 0),
+                           (0, 0, 0, 0, 0)]),
+        # a column repeated three times beside distinct ones
+        (Ambient(CP2, 5), [(1, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0),
+                           (1, 0, -1, -1, -1, -1)]),
+    ])
+    def test_span_merges_repeated_columns(self, amb, rows):
+        div = Divisor(amb, tuple(HClass(amb, r) for r in rows),
+                      tuple("C%d" % i for i in range(len(rows))))
+        inv = _assert_span_matches_oracle(div)
+        assert inv is not None
+        assert complement_invariants(div) == (0, inv)
+        assert inv == _complement_route(amb, rows)
+
+    def test_span_refuses_a_zero_exceptional_column(self, complement_calls):
+        # every exceptional column of an anticanonical configuration sums
+        # to -1, so the zero column e4 fails hypothesis (2), which is
+        # checked on the unmerged columns (e1 and e2 are equal)
+        amb = Ambient(CP2, 4)
+        rows = [(1, 0, 0, 0, 0), (1, -1, -1, 0, 0), (1, 0, 0, -1, 0)]
+        assert not any(list(zip(*rows))[4])
+        div = Divisor(amb, tuple(HClass(amb, r) for r in rows), ("A", "B", "C"))
+        assert _assert_span_matches_oracle(div) is None
+        assert complement_invariants(div) == radical_and_quotient(
+            orthogonal_complement(amb.gram(), rows))
+        assert complement_calls == [amb.rank]
+
+    def test_span_matches_oracle_on_blown_up_caps(self):
+        # generic blowups add equal exceptional columns, node blowups new
+        # components; every step stays anticanonical
+        rng = random.Random(23)
+        for d in ((3, 3, 4, 3, 3), (5,), (2, 2, 2, 6), (4, 4, 4)):
+            cap = hyperbolic_cycle_cap(d)
+            for _ in range(12):
+                i = rng.randrange(len(cap))
+                if rng.random() < 0.6:
+                    cap = blowup_generic(cap, i, rng.randint(1, 4))
+                else:
+                    j = (i + 1) % len(cap)
+                    if cap.components[i].dot(cap.components[j]) >= 1:
+                        cap = blowup_node_total(cap, i, j)
+                assert is_anticanonical(cap)
+                _assert_span_matches_oracle(cap)
+
+    def test_family_smith_forms_have_merged_columns(self, monkeypatch):
+        shapes = []
+
+        def spy(mat):
+            shapes.append((len(mat), len(mat[0])))
+            return smith_normal_form(mat)
+
+        monkeypatch.setattr(fillings, "smith_normal_form", spy)
+        distfill_family(200, limit=200)
+        # 1 + t columns, not the 1 + 209 of the ambient
+        assert shapes == [(7, 8), (7, 9)]
 
     def test_degenerate_complement_reports_radical(self):
         amb = Ambient(CP2, 9)
