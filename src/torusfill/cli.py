@@ -3,7 +3,11 @@
 Verbs: classify, embed, cap, fillings, parabolic, distfill, contact,
 lattice.  Every verb prints a human-readable report by default and a
 JSON document with --json.  JSON output is deterministic (sorted keys,
-no timing field); elapsed time is shown in text mode only.
+no timing field); elapsed time is shown in text mode only.  The
+distfill report and its two invariants, the lattice invariants, the
+classify h1 and the classify and embed witness are copies of the fields
+of their result dataclasses (dict(vars(result))), so a field added to
+one of those is reported without an edit here.
 
 run builds its argparse parser once per process, at its first call, and
 every later call parses with that same parser.
@@ -76,28 +80,6 @@ def _mat_dict(m: Mat2):
     return [[m.a, m.b], [m.c, m.d]]
 
 
-def _h1_dict(inv):
-    return {"free_rank": inv.free_rank, "torsion": list(inv.torsion)}
-
-
-def _invariants_dict(inv: lat.LatticeInvariants):
-    return {
-        "rank": inv.rank,
-        "det": inv.det,
-        "parity": inv.parity,
-        "signature": list(inv.signature),
-        "elementary_divisors": list(inv.elementary_divisors),
-    }
-
-
-def _witness_dict(witness):
-    return {
-        "sequence": list(witness.sequence),
-        "target": list(witness.target),
-        "rotation": witness.rotation,
-    }
-
-
 def _weights_str(weights):
     return "(" + ", ".join("%+d" % w for w in weights) + ")"
 
@@ -122,11 +104,11 @@ def _report_classify(args):
         witness = embeddability_witness(d, args.limit)
         report["embeddable"] = witness is not None
         if witness is not None:
-            report["witness"] = _witness_dict(witness)
+            report["witness"] = dict(vars(witness))
     else:
         warnings.append("string is not standard; reversal and embeddability skipped")
     if mat.trace != 2:
-        report["h1"] = _h1_dict(torus_bundle_h1(mat))
+        report["h1"] = dict(vars(torus_bundle_h1(mat)))
     else:
         warnings.append("trace-2 parabolic: first homology torsion not computed")
     if warnings:
@@ -150,7 +132,7 @@ def _text_classify(report):
                   % (tuple(w["sequence"]), tuple(w["target"]), w["rotation"]))
     if "h1" in report:
         h1 = report["h1"]
-        print("H1:            Z^%d + torsion %s" % (h1["free_rank"], h1["torsion"]))
+        print("H1:            Z^%d + torsion %s" % (h1["free_rank"], list(h1["torsion"])))
 
 
 def _report_embed(args):
@@ -164,7 +146,7 @@ def _report_embed(args):
         "witness": None,
     }
     if witness is not None:
-        report["witness"] = _witness_dict(witness)
+        report["witness"] = dict(vars(witness))
     return report
 
 
@@ -313,18 +295,8 @@ def _report_distfill(args):
     if n is None:
         raise DomainError("distfill needs --n (family parameter)")
     res = fil.distfill_family(n, args.limit if args.limit > 50 else 50)
-    report = {
-        "n": n,
-        "det1": res.det1,
-        "det2": res.det2,
-        "parity1": res.parity1,
-        "parity2": res.parity2,
-        "formula_det1": res.formula_det1,
-        "formula_det2": res.formula_det2,
-        "matches_formula": res.matches_formula,
-        "invariants1": _invariants_dict(res.invariants1),
-        "invariants2": _invariants_dict(res.invariants2),
-    }
+    report = dict(vars(res), invariants1=dict(vars(res.invariants1)),
+                  invariants2=dict(vars(res.invariants2)))
     if not res.matches_formula:
         report["warnings"] = ["computed determinants diverge from the closed formula"]
     return report
@@ -385,7 +357,7 @@ def _report_lattice(args):
         inv = lat._gram_invariants(gram, diag)
     except DomainError:
         return report
-    report["invariants"] = _invariants_dict(inv)
+    report["invariants"] = dict(vars(inv))
     report["negative_definite"] = lat._negative_definite(inv.signature)
     return report
 
@@ -399,7 +371,7 @@ def _text_lattice(report):
         inv = report["invariants"]
         print("invariants:  rank %d, det %d, %s, signature %s, divisors %s"
               % (inv["rank"], inv["det"], inv["parity"], tuple(inv["signature"]),
-                 inv["elementary_divisors"]))
+                 list(inv["elementary_divisors"])))
         print("negative definite: %s" % report["negative_definite"])
 
 

@@ -231,7 +231,9 @@ def adjunction_genus(c: HClass) -> int:
 @dataclass(frozen=True)
 class Divisor:
     """A cyclically ordered configuration of sphere classes; component 0
-    is the distinguished one when marked is 0 (the usual +1 sphere)."""
+    is the distinguished one when marked is 0 (the usual +1 sphere).
+    Labels are strings and marked is None or a component index, so
+    every Divisor is one that divisor_from_dict reads back."""
 
     ambient: Ambient
     components: tuple
@@ -248,6 +250,15 @@ class Divisor:
         for c in self.components:
             if c.ambient != self.ambient:
                 raise DomainError("component ambient mismatch")
+        for label in self.labels:
+            if not isinstance(label, str):
+                raise DomainError("component label must be a string, got %r" % (label,))
+        if self.marked is not None:
+            (marked,) = _ints((self.marked,), "marked component")
+            if not 0 <= marked < len(self.labels):
+                raise DomainError("marked component %d out of range 0..%d"
+                                  % (marked, len(self.labels) - 1))
+            object.__setattr__(self, "marked", marked)
 
     def __len__(self):
         return len(self.components)
@@ -554,12 +565,8 @@ def divisor_from_dict(data: dict) -> Divisor:
                                     "coordinates"))
                   for c in entries)
     labels = tuple(_field(c, "label", str, "component") for c in entries)
-    marked = data.get("marked")
-    if marked is not None:
-        (marked,) = _ints((marked,), "marked component")
-        if not 0 <= marked < len(comps):
-            raise DomainError("marked component %d out of range 0..%d" % (marked, len(comps) - 1))
-    return Divisor(amb, comps, labels, marked)
+    # Divisor checks marked itself
+    return Divisor(amb, comps, labels, data.get("marked"))
 
 
 def divisor_to_json(div: Divisor) -> str:

@@ -2,15 +2,16 @@
 
 Matrices are sequences of equal-length rows of Python integers, read
 through errors._ints, so a non-integer entry raises DomainError rather
-than being truncated; results are returned as tuples of tuples.  Everything is exact: Smith normal
-form with its unimodular transforms, saturated kernels, Gram
-determinants, parity and signature.  The determinant of any square
-matrix, and the signature and negative definiteness of a symmetric
-form, come from one fraction-free symmetric (Bareiss) elimination pass
-over the integers.  The radical of a degenerate form and a complement
-to it come from the same Smith transform, so no matrix is ever
-inverted.  Matrix products, Gram matrices, pairings and the re-check of
-every Smith transform multiply only nonzero entries, and the Smith
+than being truncated; results are returned as tuples of tuples.
+Everything is exact: Smith normal form with its unimodular transforms,
+saturated kernels, Gram determinants, parity and signature.  The
+determinant of any square matrix, and the signature and negative
+definiteness of a symmetric form, come from one fraction-free symmetric
+(Bareiss) elimination pass over the integers.  The radical of a
+degenerate form and a complement to it come from the same Smith
+transform, so no matrix is ever inverted.  Matrix products, Gram
+matrices, pairings and the re-check of every Smith transform, formed
+as (u * mat) * v, multiply only nonzero entries, and the Smith
 elimination skips the rows and entries that a step leaves unchanged;
 the transforms are, bit for bit, those of the dense elimination.
 Nothing here ever touches floating point, and unbounded integers rule
@@ -78,20 +79,9 @@ def _row_times(support, mat_supports, width):
 
 
 def _mat_mul(x, y):
-    if not x:
-        return []
     cols = len(y[0]) if y else 0
     y_supports = [_support(row) for row in y]
     return [_row_times(_support(xrow), y_supports, cols) for xrow in x]
-
-
-def _product_cost(x, y):
-    """Cost estimate of x * y: over the inner index k, the bit lengths
-    in column k of x times those in row k of y."""
-    return sum(
-        sum(map(int.bit_length, col)) * sum(map(int.bit_length, row))
-        for col, row in zip(zip(*x), y)
-    )
 
 
 def _xgcd(a, b):
@@ -119,9 +109,8 @@ def smith_normal_form(mat):
     order, so the search stops at the first unit.  A unit pivot divides
     every entry, so no remainder is scanned for.  A column operation
     visits only the rows of the working matrix and of v whose entries
-    it changes.  The re-check multiplies only nonzero entries, and
-    multiplies mat first by whichever of u and v makes the cheaper
-    product by a bit-length estimate; the product is exact either way.
+    it changes.  The re-check forms (u * mat) * v, multiplying only
+    nonzero entries.
     """
     m = _copy(mat)
     a = [row[:] for row in m]
@@ -220,10 +209,7 @@ def smith_normal_form(mat):
     d = tuple(tuple(row) for row in a)
     u = tuple(tuple(row) for row in u)
     v = tuple(tuple(row) for row in v)
-    if _product_cost(m, v) < _product_cost(u, m):
-        check = _mat_mul(u, _mat_mul(m, v))
-    else:
-        check = _mat_mul(_mat_mul(u, m), v)
+    check = _mat_mul(_mat_mul(u, m), v)
     assert tuple(tuple(row) for row in check) == d, "smith form transform check failed"
     diag = [d[i][i] for i in range(min(nr, nc))]
     for x, y in zip(diag, diag[1:]):

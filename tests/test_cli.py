@@ -700,7 +700,22 @@ def _digest_grid():
         if k % 3 == 1:
             gram = [[gram[min(i, j)][max(i, j)] for j in range(rows)] for i in range(rows)]
         grid.append(["lattice", _gram_arg(gram)])
-    return [argv + ["--json"] for argv in grid]
+    return grid
+
+
+def _grid_digests(capsys, flags):
+    """sha256 per verb over repr((argv, status, stdout, stderr)) of the
+    digest grid's calls in order, each argv extended by flags, with the
+    time on a text report's elapsed line removed."""
+    grid = [argv + flags for argv in _digest_grid()]
+    assert len(grid) == 7432
+    digests = {}
+    for argv in grid:
+        status, out, err = capture(capsys, argv)
+        out = re.sub(r"(?m)^elapsed: .*$", "elapsed:", out)
+        digest = digests.setdefault(argv[0], hashlib.sha256())
+        digest.update(repr((argv, status, out, err)).encode())
+    return {verb: d.hexdigest() for verb, d in digests.items()}
 
 
 # sha256 per verb over repr((argv, status, stdout, stderr)) of its calls in
@@ -719,11 +734,21 @@ _REPORT_DIGESTS = {
 
 
 def test_reports_match_pinned_digests(capsys):
-    grid = _digest_grid()
-    assert len(grid) == 7432
-    digests = {}
-    for argv in grid:
-        status, out, err = capture(capsys, argv)
-        digest = digests.setdefault(argv[0], hashlib.sha256())
-        digest.update(repr((argv, status, out, err)).encode())
-    assert {verb: d.hexdigest() for verb, d in digests.items()} == _REPORT_DIGESTS
+    assert _grid_digests(capsys, ["--json"]) == _REPORT_DIGESTS
+
+
+# the same sweep in text mode, which no JSON digest covers
+_TEXT_DIGESTS = {
+    "distfill": "197bae39b3893e3597eb243475b38cf2fcb588b9c22025f0ab0f7285ec2d9255",
+    "cap": "24095d6cdf7a6a01df296a89965602d7677bdc530c66c6013b532942d65c70fa",
+    "parabolic": "4210438c8896265c566f49e70a28b7ecc6062b11d526ffe4d3daa8a441e07636",
+    "fillings": "2527282a6eb620d2fff427d5b2d39aad584cff03892085e051526b3d58290f92",
+    "classify": "0c02b2603e828b13c3a6a25c4fc6c16a313cd8472ad292f65d073acb0505678d",
+    "embed": "98c7a1ac2c614377072acca795df23316390d60834f04aaa635e22bb409f5185",
+    "contact": "6fcdcfaea6779671e0f17e860e97f0d7d9323aae3c98c2d579ccd285b4983896",
+    "lattice": "9b0fc10e3e691ed548dd28f60dba7b793e2eb17ad530d2140a1edd2fbb1890fc",
+}
+
+
+def test_text_reports_match_pinned_digests(capsys):
+    assert _grid_digests(capsys, []) == _TEXT_DIGESTS

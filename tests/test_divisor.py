@@ -352,6 +352,32 @@ class TestSerialization:
         with pytest.raises(DomainError, match="^marked component "):
             divisor_from_dict({**data, "marked": marked})
 
+    @pytest.mark.parametrize("label", [1, ["L"]], ids=["int", "list"])
+    def test_constructor_refuses_a_label_that_is_not_a_string(self, label):
+        h = Ambient(CP2, 0).h()
+        with pytest.raises(DomainError, match="^component label must be a string, got "):
+            Divisor(Ambient(CP2, 0), (h, h), ("A", label))
+
+    @pytest.mark.parametrize("marked, message", [
+        (5, "marked component 5 out of range 0..1"),
+        (-1, "marked component -1 out of range 0..1"),
+        (0.5, "marked component must be integers, got 0.5"),
+    ])
+    def test_constructor_refuses_what_the_reader_refuses(self, marked, message):
+        h = Ambient(CP2, 0).h()
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            Divisor(Ambient(CP2, 0), (h, h), ("A", "B"), marked)
+
+    def test_marked_is_stored_as_an_exact_int(self):
+        class One:
+            def __index__(self):
+                return 1
+
+        h = Ambient(CP2, 0).h()
+        div = Divisor(Ambient(CP2, 0), (h, h), ("A", "B"), One())
+        assert type(div.marked) is int and div.marked == 1
+        assert divisor_from_json(divisor_to_json(div)) == div
+
     @pytest.mark.parametrize("text, message", [
         ("{}", "divisor has no 'ambient' field"),
         ("[]", "divisor must be an object, got []"),

@@ -92,6 +92,29 @@ class TestSmithNormalForm:
         assert cokernel_invariants([[], []]) == (2, ())
         assert orthogonal_complement((), [()]) == Sublattice((), ())
 
+    def test_recheck_catches_a_wrong_transform(self, monkeypatch):
+        # u and v start as diag(2, 1, ...), so both come out wrong while
+        # the elimination on the working matrix, and so d, is unchanged;
+        # u * m * v then scales m's first row and column, so any m with a
+        # nonzero corner fails the re-check
+        identity = lattice._identity
+
+        def doubled(n):
+            out = identity(n)
+            if out:
+                out[0][0] = 2
+            return out
+
+        monkeypatch.setattr(lattice, "_identity", doubled)
+        rng = random.Random(41)
+        for m in [[[1]], [[2, 1], [1, -1]], [[-2, -4], [0, -2]]] + [
+            [[rng.randint(1, 20)] + [rng.randint(-20, 20) for _ in range(nc - 1)]
+             for _ in range(nr)]
+            for nr, nc in [(1, 3), (3, 1), (4, 4), (5, 3), (3, 5)]
+        ]:
+            with pytest.raises(AssertionError, match="smith form transform check failed"):
+                smith_normal_form(m)
+
 
 @pytest.mark.parametrize(
     "fn",
