@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError, _ints
+from .errors import DomainError, _ints, _within
 from .sl2z import orientation_reversal
 
 __all__ = [
@@ -82,10 +82,7 @@ def enumerate_blowups(length: int, limit: int = DEFAULT_LIMIT):
     with length vertices lies in at most length - 2 triangles."""
     if length < 2:
         raise DomainError("length must be >= 2, got %d" % length)
-    if length > limit:
-        raise ResourceLimitError(
-            "enumeration of length-%d sequences exceeds limit %d" % (length, limit)
-        )
+    _within(limit, length, "enumeration of length-%d sequences")
     result = frozenset(s for _, s in dominated_blowups((length - 2,) * length))
     for s in result:
         assert sum(s) == 3 * (length - 2) and len(s) == length
@@ -144,11 +141,11 @@ def path_to(s):
     entry 1 is an ear, removing an ear leaves a triangulation, and a
     triangulation of four or more vertices has two non-adjacent ears,
     so one of them is interior.  A sequence that is not a blowup is
-    rejected after at most len(s) - 2 steps.
+    rejected after at most len(s) - 2 steps, when no ear is left short
+    of (0, 0); a step keeps sum(t) - 3 * (len(t) - 2), so a wrong sum
+    is among them.
     """
     entries = _as_seq(s)
-    if sum(entries) != 3 * (len(entries) - 2):
-        raise DomainError("%s is not a blowup of (0, 0)" % (entries,))
     moves = []
     t = entries
     while t != (0, 0):
@@ -163,7 +160,7 @@ def path_to(s):
     path = tuple(reversed(moves))
     check = (0, 0)
     for i in path:
-        check = blowup_at(check, i)
+        check = _blowup(check, i)
     assert check == entries
     return path
 
@@ -197,10 +194,7 @@ def embeddability_witness(d, limit: int = DEFAULT_LIMIT):
     length = len(c)
     if length < 2:
         return None
-    if length > limit:
-        raise ResourceLimitError(
-            "enumeration of length-%d sequences exceeds limit %d" % (length, limit)
-        )
+    _within(limit, length, "enumeration of length-%d sequences")
     w = min((s for _, s in dominated_blowups(c)), default=None)
     if w is None:
         return None

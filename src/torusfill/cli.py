@@ -294,7 +294,7 @@ def _report_distfill(args):
     n = args.n if args.n is not None else args.N
     if n is None:
         raise DomainError("distfill needs --n (family parameter)")
-    res = fil.distfill_family(n, args.limit if args.limit > 50 else 50)
+    res = fil.distfill_family(n, max(args.limit, 50))
     report = dict(vars(res), invariants1=dict(vars(res.invariants1)),
                   invariants2=dict(vars(res.invariants2)))
     if not res.matches_formula:
@@ -429,8 +429,11 @@ def _build_parser():
         p = sub.add_parser(verb, help=help_text)
         add_args(p)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
-                       help="enumeration resource cap (default %d)" % DEFAULT_LIMIT)
+        # distfill bounds its family parameter by max(--limit, 50), so -h
+        # states 50 as its default
+        p.add_argument("--limit", type=int,
+                       default=50 if verb == "distfill" else DEFAULT_LIMIT,
+                       help="enumeration resource cap (default %(default)s)")
         p.add_argument("--seed", type=int, default=None,
                        help="unused; all computations are deterministic")
     return parser

@@ -43,7 +43,7 @@ from operator import mul
 from .blowup import (
     DEFAULT_LIMIT,
     EmbeddingWitness,
-    blowup_at,
+    _blowup,
     dominates,
     embeddability_witness,
     path_to,
@@ -438,14 +438,17 @@ def cycle_cap_from_path(weights, path) -> Divisor:
     endpoint of the path.  The result is a cycle with weights
     (+1, 1 - c_1, -c_2, ..., -c_{l-1}, 1 - c_l).
 
-    The path is checked on the integer sequence first, so the ambient
-    is known before any class is built: the blown-up plane with
-    N0 = len(path) + sum(c_i - s_i) exceptional classes.  The k-th node
-    blowup, at position m, takes e_k: it subtracts e_k from components
-    m and m + 1 and inserts the class e_k (labelled E<k>) between them.
-    The generic blowups then take e_{len(path)+1}, ..., e_N0 in
-    component order.  Each component is written once, as a row of
-    1 + N0 coordinates.
+    The move rule: each move m satisfies 1 <= m < len(s) for the
+    sequence s reached so far, so it names a node of two components
+    after the marked line; any other move is refused with "component
+    index out of range".  The path is checked on the integer sequence
+    first, so the ambient is known before any class is built: the
+    blown-up plane with N0 = len(path) + sum(c_i - s_i) exceptional
+    classes.  The k-th node blowup, at position m, takes e_k: it
+    subtracts e_k from components m and m + 1 and inserts the class e_k
+    (labelled E<k>) between them.  The generic blowups then take
+    e_{len(path)+1}, ..., e_N0 in component order.  Each component is
+    written once, as a row of 1 + N0 coordinates.
     """
     c = _ints(weights, "weights")
     if len(c) < 2:
@@ -455,9 +458,9 @@ def cycle_cap_from_path(weights, path) -> Divisor:
     for move in path:
         # a move blows up the node of components move and move + 1 of
         # the len(s) + 1 (the marked line, then one per entry of s)
-        if not 0 <= move < len(s):
+        if not 1 <= move < len(s):
             raise DomainError("component index out of range")
-        s = blowup_at(s, move)
+        s = _blowup(s, move)
     if len(s) != len(c) or not dominates(s, c):
         raise DomainError("sequence %s is not dominated by weights %s" % (s, c))
     n_blowups = len(path) + sum(c) - sum(s)
@@ -489,6 +492,10 @@ def hyperbolic_cycle_cap(d, witness: EmbeddingWitness | None = None,
 
     A witness may be passed explicitly (for example a specific sequence
     found elsewhere); otherwise the deterministic first witness is used.
+    Its target must be a rotation of the reversal; its sequence is
+    checked by path_to, which refuses a non-blowup, and by
+    cycle_cap_from_path, which refuses one of the wrong length or not
+    dominated by the target.
     """
     if witness is None:
         witness = embeddability_witness(d, limit)
@@ -496,15 +503,8 @@ def hyperbolic_cycle_cap(d, witness: EmbeddingWitness | None = None,
             raise DomainError("string %s is not embeddable" % (tuple(d),))
     else:
         c = orientation_reversal(d)
-        if len(witness.sequence) != len(c):
-            raise DomainError("witness length does not match the reversal of %s" % (tuple(d),))
-        for k in range(len(c)):
-            if c[k:] + c[:k] == witness.target:
-                break
-        else:
+        if not any(c[k:] + c[:k] == witness.target for k in range(len(c))):
             raise DomainError("witness target is not a rotation of the reversal")
-        if not dominates(witness.sequence, witness.target):
-            raise DomainError("witness sequence is not dominated by its target")
     return cycle_cap_from_path(witness.target, path_to(witness.sequence))
 
 

@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and _ints, its one reader
-of integer sequences and matrix rows: int and bool entries pass and any
-other entry raises DomainError, so nothing is truncated or parsed."""
+"""Exception types shared across the package, with its one reader of
+integers and its one budget check.
+
+_ints reads integer sequences and matrix rows: int and bool entries pass
+and any other entry raises DomainError, so nothing is truncated or
+parsed.  _within is where every ResourceLimitError is raised: each
+enumeration budget of the package is one _within call."""
 
 from operator import index
 
@@ -26,3 +30,10 @@ def _ints(values, what) -> tuple:
         except TypeError:
             raise DomainError("%s must be integers, got %r" % (what, x)) from None
     return tuple(out)
+
+
+def _within(limit, size, what):
+    """Refuse size past limit: ResourceLimitError("<what % size> exceeds
+    limit <limit>"), the message built only on refusal."""
+    if size > limit:
+        raise ResourceLimitError("%s exceeds limit %d" % (what % size, limit))

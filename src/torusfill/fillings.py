@@ -63,7 +63,7 @@ from .divisor import (
     is_anticanonical,
     parabolic_cap,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, _within
 from .lattice import (
     EVEN,
     LatticeInvariants,
@@ -146,6 +146,15 @@ def _canonical_configuration(div: Divisor):
     return min(variants)
 
 
+def _standard(d, what) -> tuple:
+    """tuple(d), refused with DomainError("<what> needs a standard
+    string, got ...") unless it is a standard string."""
+    entries = tuple(d)
+    if not is_standard_string(entries):
+        raise DomainError("%s needs a standard string, got %s" % (what, entries))
+    return entries
+
+
 def hyperbolic_filling_census(d, limit: int = DEFAULT_LIMIT) -> CensusResult:
     """Betti bookkeeping and configuration count for the fillings of the
     hyperbolic bundle of an embeddable standard string d.
@@ -211,23 +220,21 @@ def hyperbolic_filling_census(d, limit: int = DEFAULT_LIMIT) -> CensusResult:
     b1 = 0 and c1 = 0 are the paper's theorem (i), and b3 = 0 holds for
     every Stein filling of a 3-manifold.
     """
-    if not is_standard_string(d):
-        raise DomainError("census needs a standard string, got %s" % (tuple(d),))
+    d = _standard(d, "census")
     c = orientation_reversal(d)
     ell = len(c)
     if ell < 2:
         raise DomainError(
-            "string %s is not embeddable: its reversal has length one" % (tuple(d),)
+            "string %s is not embeddable: its reversal has length one" % (d,)
         )
-    if ell > limit:
-        raise ResourceLimitError("reversal length %d exceeds limit %d" % (ell, limit))
+    _within(limit, ell, "reversal length %d")
 
     caps = {}
     for path, s in dominated_blowups(c):
         if c != c[::-1] or s[::-1] not in caps:
             caps[s] = cycle_cap_from_path(c, path)
     if not caps:
-        raise DomainError("string %s is not embeddable" % (tuple(d),))
+        raise DomainError("string %s is not embeddable" % (d,))
     reps = tuple(sorted(caps.values(), key=_canonical_configuration))
 
     ambients = {cap.ambient for cap in reps}
@@ -248,7 +255,7 @@ def hyperbolic_filling_census(d, limit: int = DEFAULT_LIMIT) -> CensusResult:
         class_count_bound=len(reps),
     )
     result = CensusResult(
-        string=tuple(d),
+        string=d,
         reversal=c,
         rotation=0,
         target=c,
@@ -643,8 +650,7 @@ def distfill_family(n: int, limit: int = 50) -> DistFillResult:
     """
     if n < 0:
         raise DomainError("family parameter must be nonnegative")
-    if n > limit:
-        raise ResourceLimitError("family parameter %d exceeds limit %d" % (n, limit))
+    _within(limit, n, "family parameter %d")
     (radical1, inv1), (radical2, inv2) = map(complement_invariants,
                                              family_configuration_divisors(n))
     assert radical1 == radical2 == 0 and inv1.rank == inv2.rank == n + 3
@@ -695,9 +701,7 @@ def tight_structure_census(d) -> ContactCensus:
     the rotation tuples have j-th entry in
     {-(d_j - 2), -(d_j - 2) + 2, ..., d_j - 2}, giving d_j - 1 choices,
     so their number is the product of the (d_j - 1)."""
-    entries = tuple(d)
-    if not is_standard_string(entries):
-        raise DomainError("contact census needs a standard string, got %s" % (entries,))
+    entries = _standard(d, "contact census")
     values = tuple(tuple(range(-(x - 2), x - 1, 2)) for x in entries)
     for x, vals in zip(entries, values):
         assert len(vals) == x - 1
@@ -721,9 +725,7 @@ def double_cover_obstruction(d, r) -> str:
     has some d_j >= 3.  So every valid tuple is virtually overtwisted,
     and INCONCLUSIVE is never returned; it stays a schema value.
     """
-    entries = tuple(d)
-    if not is_standard_string(entries):
-        raise DomainError("obstruction needs a standard string, got %s" % (entries,))
+    entries = _standard(d, "obstruction")
     tup = tuple(r)
     if len(tup) != len(entries):
         raise DomainError("rotation tuple length %d does not match string length %d"

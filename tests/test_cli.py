@@ -259,7 +259,7 @@ class TestDistFill:
         _, second, _ = capture(capsys, ["distfill", "--n", "2", "--json"])
         assert first == second
 
-    # the family bound is max(--limit, 50): the default 14 and any lower
+    # the family bound is max(--limit, 50): the default 50 and any lower
     # --limit allow n up to 50, and only a --limit above 50 raises it
     @pytest.mark.parametrize("argv", [["--n", "50"], ["--n", "40", "--limit", "3"],
                                       ["--n", "60", "--limit", "60"]])
@@ -390,13 +390,13 @@ def oracle_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, need_d=False):
+    def common(p, need_d=False, limit=14):
         if need_d:
             p.add_argument("--d", type=parse_string_arg, required=True,
                            help="comma-separated monodromy string, e.g. 3,3,4,3,3")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--limit", type=int, default=14,
-                       help="enumeration resource cap (default 14)")
+        p.add_argument("--limit", type=int, default=limit,
+                       help="enumeration resource cap (default %d)" % limit)
         p.add_argument("--seed", type=int, default=None,
                        help="unused; all computations are deterministic")
 
@@ -421,7 +421,7 @@ def oracle_parser():
     dist = sub.add_parser("distfill", help="distinguished filling family determinants")
     dist.add_argument("--n", type=int, help="family parameter N >= 0")
     dist.add_argument("--N", type=int, dest="N", help="alias of --n")
-    common(dist)
+    common(dist, limit=50)  # the bound that runs: max(--limit, 50)
 
     common(sub.add_parser("contact", help="tight contact structure counts"), need_d=True)
 

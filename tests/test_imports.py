@@ -10,7 +10,10 @@ definition; a helper only the tests need belongs in the tests.
 
 The modules are layered: each imports from the package only modules
 that come before it in LAYERS.  The package __init__ and __main__ are
-exempt, since they exist to import the others."""
+exempt, since they exist to import the others.
+
+Every ResourceLimitError is raised by errors._within, the package's one
+budget check, so a new budget is one more _within call."""
 
 import ast
 from collections import Counter
@@ -166,3 +169,44 @@ def test_detects_layering_violation():
     assert layering_violations(sources) == [
         ("blowup", "cli"), ("divisor", "fillings"), ("divisor", "obs"), ("sl2z", "lattice"),
     ]
+
+
+def budget_raises(sources):
+    """(module, line) of each `raise ResourceLimitError` or `raise
+    ResourceLimitError(...)`, by name or attribute, in the {module:
+    source} package outside errors._within."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        exempt = set()
+        if module == "errors":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "_within":
+                    exempt.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None and id(node) not in exempt:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+                if name == "ResourceLimitError":
+                    found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_one_budget_check():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert budget_raises(sources) == []
+
+
+def test_detects_budget_raise():
+    sources = {
+        "errors": "def _within(limit, size, what):\n"
+                  "    if size > limit:\n"
+                  "        raise ResourceLimitError(what)\n"
+                  "def _other():\n"
+                  "    raise ResourceLimitError\n",
+        "blowup": "from . import errors\n"
+                  "raise errors.ResourceLimitError('x')\n"
+                  "raise DomainError('y')\n"
+                  "raise\n",
+    }
+    assert budget_raises(sources) == [("blowup", 2), ("errors", 5)]
