@@ -184,21 +184,21 @@ def _cap_from_args(args):
 def _report_cap(args):
     cap = _cap_from_args(args)
     weights, edges = dual_graph(cap)
-    report = {
+    # every cap builder ends in divisor._cap, which certifies a cycle of
+    # at least two spheres with positive edges
+    mono = cycle_monodromy(weights, 1)
+    return {
         "divisor": divisor_to_dict(cap),
         "dual_graph": {
             "weights": list(weights),
             "edges": [[i, j, m] for (i, j), m in sorted(edges.items())],
         },
-    }
-    if len(cap) >= 2 and all(m >= 1 for m in edges.values()):
-        mono = cycle_monodromy(weights, 1)
-        report["boundary_monodromy"] = {
+        "boundary_monodromy": {
             "matrix": _mat_dict(mono),
             "trace": mono.trace,
             "edge_sign_product": 1,
-        }
-    return report
+        },
+    }
 
 
 def _text_cap(report):
@@ -208,9 +208,8 @@ def _text_cap(report):
     for entry in comps:
         print("  %-4s %s" % (entry["label"], entry["coords"]))
     print("weights:   %s" % _weights_str(report["dual_graph"]["weights"]))
-    if "boundary_monodromy" in report:
-        b = report["boundary_monodromy"]
-        print("boundary:  %s (trace %d)" % (b["matrix"], b["trace"]))
+    b = report["boundary_monodromy"]
+    print("boundary:  %s (trace %d)" % (b["matrix"], b["trace"]))
 
 
 def _report_fillings(args):

@@ -461,7 +461,7 @@ def cycle_cap_from_path(weights, path) -> Divisor:
         if not 1 <= move < len(s):
             raise DomainError("component index out of range")
         s = _blowup(s, move)
-    if len(s) != len(c) or not dominates(s, c):
+    if not dominates(s, c):
         raise DomainError("sequence %s is not dominated by weights %s" % (s, c))
     n_blowups = len(path) + sum(c) - sum(s)
     rows = [[1] + [0] * n_blowups for _ in range(3)]

@@ -11,11 +11,12 @@ Three computations live here.
   the Betti-number bookkeeping shared by all fillings.
 
 * The parabolic systems: exhaustive integer search for the classes of
-  the two spheres of the parabolic cap inside a blown-up plane or
-  product of spheres, pruned by the sum and sum-of-squares bounds, with
-  the minimality condition that cuts the raw solution set to one
-  survivor per model.  Each survivor is asserted to be that model's
-  parabolic cap; the plane's is parabolic_cap(n).
+  the two spheres of the parabolic cap inside a blown-up plane and a
+  blown-up product of spheres, one pass over the search box serving
+  both models, pruned by the sum and sum-of-squares bounds, with the
+  minimality condition that cuts the raw solution set to one survivor
+  per model.  One assert per model certifies that survivor to be that
+  model's parabolic cap; the plane's is parabolic_cap(n).
 
 * The distinguished-filling family: two census configurations of the
   bundle whose reversal is (3, 3 + n, 3, 2, 3, 3), built by the
@@ -322,7 +323,11 @@ _SEARCH_N_MIN = 5 - _SEARCH_INDEX_MAX  # the plane survivor uses 5 - n classes
 
 @dataclass(frozen=True)
 class ParabolicSolution:
-    """One surviving class assignment for the parabolic cap spheres."""
+    """One surviving class assignment for the parabolic cap spheres.
+
+    b2_filling is the rank r_T of the orthogonal complement of the
+    fiber and conic classes; b2_rank_consistent is r_T + 1, the Euler
+    value of euler_diagnostic (parabolic_solutions says more)."""
 
     model: str
     a: int
@@ -353,29 +358,22 @@ def _multisets(count, total, squares, top=_SEARCH_COEFF_MAX):
             yield (x,) + rest
 
 
-def _raw_cp2(n):
-    """All (a, b_1, multiset of b_i for i > 1) solving the plane system
+def _raw(n):
+    """All raw solutions of both parabolic systems within the documented
+    search box, keyed by model, from one pass over the free coefficient
+    x: the plane's (a, b_1, multiset of b_i for i > 1) with b_1 = x,
+    a = x + 2 solving
     n = a^2 - sum b_i^2,  3a - sum b_i = n + 2,  a - b_1 = 2,
-    within the documented search box."""
-    out = []
-    for b1 in range(_SEARCH_COEFF_MAX + 1):
-        a = b1 + 2
-        for count in range(_SEARCH_INDEX_MAX):
-            for rest in _multisets(count, 3 * a - n - 2 - b1, a * a - n - b1 * b1):
-                out.append((a, b1, rest))
-    return out
-
-
-def _raw_s2xs2(n):
-    """All (b, multiset of c_i) solving the product system with a = 2:
+    and the product's (b, multiset of c_i) with b = x, a = 2 solving
     n = 2ab - sum c_i^2,  2a + 2b - sum c_i = n + 2."""
-    out = []
-    a = 2
-    for b in range(_SEARCH_COEFF_MAX + 1):
+    plane, product = [], []
+    for x in range(_SEARCH_COEFF_MAX + 1):
+        a = x + 2
         for count in range(_SEARCH_INDEX_MAX):
-            for cs in _multisets(count, 2 * a + 2 * b - n - 2, 2 * a * b - n):
-                out.append((b, cs))
-    return out
+            plane += ((a, x, rest)
+                      for rest in _multisets(count, 3 * a - n - 2 - x, a * a - n - x * x))
+            product += ((x, cs) for cs in _multisets(count, 2 * x + 2 - n, 4 * x - n))
+    return {CP2: plane, S2XS2: product}
 
 
 def parabolic_solutions_raw(n: int) -> dict:
@@ -394,7 +392,7 @@ def parabolic_solutions_raw(n: int) -> dict:
             "%d exceptional classes, the search tries %d (n = %d)"
             % (_SEARCH_N_MIN, 5 - n, _SEARCH_INDEX_MAX, n)
         )
-    return {CP2: _raw_cp2(n), S2XS2: _raw_s2xs2(n)}
+    return _raw(n)
 
 
 def parabolic_solutions(n: int) -> list:
@@ -406,62 +404,47 @@ def parabolic_solutions(n: int) -> list:
     coefficients; its fiber class h - e_1 and conic class
     2h - e_2 - ... - e_{5-n} are the components of parabolic_cap(n).
     The product survivor is b = 1 with all c_i = 1: fiber class f and
-    conic class 2s + f - e_1 - ... - e_{4-n}.  The reported b2 of the
-    filling is 4 - n; the rank identity of euler_diagnostic favours
-    5 - n, and both values are carried so the divergence stays visible.
+    conic class 2s + f - e_1 - ... - e_{4-n}.  The reported b2_filling,
+    4 - n, is the rank r_T of the orthogonal complement of the two cap
+    classes (complement_invariants, radical 0, on both models);
+    b2_rank_consistent, 5 - n, is r_T + 1, the value for which the
+    Euler-characteristic and rank identities of euler_diagnostic hold.
+    Both are carried so the two conventions stay visible.
     """
     return _filter_parabolic(n, parabolic_solutions_raw(n))
-
-
-def _sole_survivor(entries, n: int):
-    """The one raw entry of parameter n whose coefficients, its last
-    item, meet the minimality condition: no coefficient 0, no
-    coefficient 2, and exactly 4 - n coefficients equal to 1.
-
-    A vanishing coefficient means an exceptional sphere disjoint from
-    both cap spheres, contradicting minimality of the filling.  A
-    coefficient 2 splits off an exceptional sphere disjoint from the
-    configuration, again against minimality: h - e_1 - e_j for b_j = 2
-    (j > 1) on the plane, f - e_i for c_i = 2 on the product.  Blowing
-    down extra +-1 coefficients would embed the forbidden n > 4
-    configuration, so exactly 4 - n unit coefficients survive."""
-    survivors = [
-        entry for entry in entries
-        if 0 not in entry[-1] and 2 not in entry[-1] and entry[-1].count(1) == 4 - n
-    ]
-    assert len(survivors) == 1, survivors
-    return survivors[0]
 
 
 def _filter_parabolic(n: int, raw: dict) -> list:
     """parabolic_solutions from the raw solutions of parameter n: each
     model's sole survivor, with the (fiber, conic) classes of that
-    model's parabolic cap."""
-    a, b1, rest = _sole_survivor(raw[CP2], n)
-    b, cs = _sole_survivor(raw[S2XS2], n)
+    model's parabolic cap.
+
+    The minimality condition keeps the raw entries whose coefficients,
+    their last item, have no 0, no 2, and exactly 4 - n entries equal
+    to 1.  A vanishing coefficient means an exceptional sphere disjoint
+    from both cap spheres, contradicting minimality of the filling.  A
+    coefficient 2 splits off an exceptional sphere disjoint from the
+    configuration, again against minimality: h - e_1 - e_j for b_j = 2
+    (j > 1) on the plane, f - e_i for c_i = 2 on the product.  Blowing
+    down extra +-1 coefficients would embed the forbidden n > 4
+    configuration, so exactly 4 - n unit coefficients survive.  One
+    assert per model certifies that the survivors are exactly that
+    model's cap entry: (2, 0, units) on the plane, (1, units) on the
+    product."""
     units = (1,) * (4 - n)
-    assert ((a, b1, rest), (b, cs)) == ((2, 0, units), (1, units))
+    for model, cap_entry in ((CP2, (2, 0, units)), (S2XS2, (1, units))):
+        survivors = [entry for entry in raw[model] if 0 not in entry[-1]
+                     and 2 not in entry[-1] and entry[-1].count(1) == 4 - n]
+        assert survivors == [cap_entry], (model, survivors)
     # f and 2s + f - e_1 - ... - e_{4-n}, whose sum is anticanonical
     product = _cap(*_pad(S2XS2, ((0, 1), (2, 1)), [((1,), 4 - n)]), ("F", "C"),
                    (0, n), {(0, 1): 2})
-    models = (
-        (CP2, a, b1, (b1,) + rest, parabolic_cap(n).components),
-        (S2XS2, 2, b, cs, product.components),
-    )
-    solutions = []
-    for model, a, b, coefficients, (fiber, conic) in models:
-        solutions.append(ParabolicSolution(
-            model=model,
-            a=a,
-            b=b,
-            coefficients=coefficients,
-            n_blowups=fiber.ambient.blowups,
-            fiber_class=fiber,
-            conic_class=conic,
-            b2_filling=4 - n,
-            b2_rank_consistent=5 - n,
-        ))
-    return solutions
+    return [ParabolicSolution(model=model, a=2, b=b, coefficients=coefficients,
+                              n_blowups=fiber.ambient.blowups, fiber_class=fiber,
+                              conic_class=conic, b2_filling=4 - n, b2_rank_consistent=5 - n)
+            for model, b, coefficients, (fiber, conic) in (
+                (CP2, 0, (0,) + units, parabolic_cap(n).components),
+                (S2XS2, 1, units, product.components))]
 
 
 # --- distinguished filling family ------------------------------------------

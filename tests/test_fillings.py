@@ -44,8 +44,7 @@ from torusfill.fillings import (
 from torusfill.fillings import (
     _canonical_configuration,
     _filter_parabolic,
-    _raw_cp2,
-    _raw_s2xs2,
+    _raw,
     _span_invariants,
 )
 from torusfill.lattice import (
@@ -315,16 +314,23 @@ class TestEuler:
     def test_parabolic_rank_identity(self):
         # the parabolic cap (two spheres, two nodes) with the closed
         # model of the plane branch: the rank-consistent second Betti
-        # number passes, the classification bookkeeping value does not
-        from torusfill.divisor import parabolic_cap
-
-        for n in range(5):
+        # number passes, the classification bookkeeping value does not;
+        # that value is the complement rank r_T on both models
+        for n in range(-7, 5):
             cap = parabolic_cap(n)
-            sol = parabolic_solutions(n)[0]
+            solutions = parabolic_solutions(n)
+            sol = solutions[0]
             good = FillingInvariants(sol.n_blowups, 0, sol.b2_rank_consistent, 0, True, 1)
             bad = FillingInvariants(sol.n_blowups, 0, sol.b2_filling, 0, True, 1)
             assert euler_consistency(cap, good)
-            assert not euler_consistency(cap, bad)
+            diag = euler_diagnostic(cap, bad)
+            assert not diag["chi_ok"] and not diag["rank_ok"]
+            for model_sol in solutions:
+                fiber, conic = model_sol.fiber_class, model_sol.conic_class
+                radical, inv = complement_invariants(
+                    Divisor(fiber.ambient, (fiber, conic), ("F", "C"), 0))
+                assert (radical, inv.rank) == (0, model_sol.b2_filling), (n, model_sol.model)
+                assert model_sol.b2_rank_consistent == inv.rank + 1
 
 
 class TestParabolic:
@@ -404,6 +410,35 @@ def _filter_parabolic_oracle(n, raw):
     return [cp2, s2]
 
 
+def _second_minimal(entries, n):
+    # a further entry that passes the minimality filter
+    return entries + [entries[-1][:-1] + ((3,) + (1,) * (4 - n),)]
+
+
+def _survivor_removed(entries, n):
+    return [entry for entry in entries if 0 in entry[-1] or 2 in entry[-1]
+            or entry[-1].count(1) != 4 - n]
+
+
+def _wrong_survivor(entries, n):
+    # the survivor with its free coefficient raised from b_1 = 0 (plane)
+    # or b = 1 (product) by one: still minimal, not the cap
+    units = (1,) * (4 - n)
+    return [(2, 1, units) if entry == (2, 0, units) else
+            (2, units) if entry == (1, units) else entry for entry in entries]
+
+
+@pytest.mark.parametrize("model", [CP2, S2XS2])
+@pytest.mark.parametrize("fault", [_second_minimal, _survivor_removed, _wrong_survivor])
+def test_survivor_certificate_fires(model, fault):
+    for n in (-7, 0, 4):
+        raw = parabolic_solutions_raw(n)
+        planted = {**raw, model: fault(raw[model], n)}
+        assert planted[model] != raw[model]
+        with pytest.raises(AssertionError):
+            _filter_parabolic(n, planted)
+
+
 @pytest.mark.parametrize("n", range(-7, 5))
 class TestParabolicFilterOracle:
     def test_matches_hand_built_filter(self, n):
@@ -446,8 +481,7 @@ def _brute_raw_s2xs2(n):
 
 @pytest.mark.parametrize("n", range(-8, 5))
 def test_pruned_raw_search_matches_brute_force(n):
-    assert _raw_cp2(n) == _brute_raw_cp2(n)
-    assert _raw_s2xs2(n) == _brute_raw_s2xs2(n)
+    assert _raw(n) == {CP2: _brute_raw_cp2(n), S2XS2: _brute_raw_s2xs2(n)}
 
 
 class TestDistFill:
