@@ -7,7 +7,9 @@ no timing field); elapsed time is shown in text mode only.  The
 distfill report and its two invariants, the lattice invariants, the
 classify h1 and the classify and embed witness are copies of the fields
 of their result dataclasses (dict(vars(result))), so a field added to
-one of those is reported without an edit here.
+one of those is reported without an edit here.  The cap and fillings
+reports hold their Divisors themselves, which _json_text writes as
+their divisor_to_dict documents.
 
 run builds its argparse parser once per process, at its first call, and
 every later call parses with that same parser.
@@ -30,8 +32,9 @@ from . import fillings as fil
 from . import lattice as lat
 from .blowup import DEFAULT_LIMIT, embeddability_witness
 from .divisor import (
+    Divisor,
     cycle_monodromy,
-    divisor_to_dict,
+    divisor_to_indented_json,
     dual_graph,
     elliptic_cap,
     hyperbolic_cycle_cap,
@@ -188,7 +191,7 @@ def _report_cap(args):
     # at least two spheres with positive edges
     mono = cycle_monodromy(weights, 1)
     return {
-        "divisor": divisor_to_dict(cap),
+        "divisor": cap,
         "dual_graph": {
             "weights": list(weights),
             "edges": [[i, j, m] for (i, j), m in sorted(edges.items())],
@@ -202,11 +205,10 @@ def _report_cap(args):
 
 
 def _text_cap(report):
-    comps = report["divisor"]["components"]
-    amb = report["divisor"]["ambient"]
-    print("ambient:   %s blown up %d times" % (amb["model"], amb["blowups"]))
-    for entry in comps:
-        print("  %-4s %s" % (entry["label"], entry["coords"]))
+    cap = report["divisor"]
+    print("ambient:   %s blown up %d times" % (cap.ambient.model, cap.ambient.blowups))
+    for label, c in zip(cap.labels, cap.components):
+        print("  %-4s %s" % (label, list(c.coords)))
     print("weights:   %s" % _weights_str(report["dual_graph"]["weights"]))
     b = report["boundary_monodromy"]
     print("boundary:  %s (trace %d)" % (b["matrix"], b["trace"]))
@@ -229,8 +231,8 @@ def _report_fillings(args):
             "class_count_bound": inv.class_count_bound,
         },
         "euler_consistent": fil.euler_consistency(res.capped, inv),
-        "capped_divisor": divisor_to_dict(res.capped),
-        "configurations": [divisor_to_dict(c) for c in res.configurations],
+        "capped_divisor": res.capped,
+        "configurations": res.configurations,
     }
     return report
 
@@ -443,16 +445,20 @@ _INT, _STR = frozenset({int}), frozenset({str})
 
 
 def _json_text(value):
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+    """json.dumps(value, indent=2, sort_keys=True, default=divisor_to_dict),
+    byte for byte, for the values reports hold.
 
     indent= forces the pure-Python encoder, so reports are written here:
     dispatch is on the exact type (a bool is never taken for an int),
     strings are escaped to ASCII as json.dumps escapes them, an all-int
     list is one join, and each depth's newline-plus-indent is built once
-    per call.  A value of any other type (a float, a subclass, a dict
-    with a non-str key) is handed to json.dumps and its text re-indented
-    to its depth; escaped strings hold no newline, so every newline in
-    that text is a line break of the layout.
+    per call.  A Divisor (of exact type) is written by
+    divisor_to_indented_json at its depth, so the cap and fillings
+    reports keep their caps as they are.  A value of any other type (a
+    float, a subclass, a dict with a non-str key; none of them holding a
+    Divisor) is handed to json.dumps and its text re-indented to its
+    depth; escaped strings hold no newline, so every newline in that
+    text is a line break of the layout.
     """
     newlines = ["\n"]
 
@@ -466,6 +472,8 @@ def _json_text(value):
             return "null"
         if t is bool:
             return "true" if v else "false"
+        if t is Divisor:
+            return divisor_to_indented_json(v, newlines[depth])
         if t is list or t is tuple or t is dict:
             if not v:
                 return "{}" if t is dict else "[]"

@@ -30,14 +30,18 @@ of the distinguished family alike, skip the growing: the path of node
 blowups fixes the ambient in advance, N0 = len(path) + sum(c_i - s_i)
 exceptional classes for weights c and path endpoint s, with e_1, ...,
 e_len(path) taken by the node blowups in chain order and the rest by
-the generic blowups in component order, so cycle_cap_from_path writes
-every component once as a row of fixed width 1 + N0.
+the generic blowups in component order, so _cycle_cap writes every
+component once as a row of fixed width 1 + N0.  cycle_cap_from_path
+checks a caller's path on the integer sequence and ends in _cycle_cap;
+the census calls _cycle_cap itself, with the endpoint its walk already
+holds, so no chain is replayed.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from operator import mul
 
 from .blowup import (
@@ -71,6 +75,7 @@ __all__ = [
     "cycle_cap_from_path",
     "realize_cap",
     "divisor_to_dict",
+    "divisor_to_indented_json",
     "divisor_from_dict",
     "divisor_to_json",
     "divisor_from_json",
@@ -78,6 +83,11 @@ __all__ = [
 
 CP2 = "CP2"
 S2XS2 = "S2xS2"
+
+# the entries of the ambient Gram matrix off the exceptional diagonal,
+# each +1: (h, h) on the plane, (s, f) and (f, s) on the product; every
+# exceptional class pairs to -1 with itself
+_BASE_GRAM = {CP2: ((0, 0),), S2XS2: ((0, 1), (1, 0))}
 
 
 @dataclass(frozen=True)
@@ -107,13 +117,9 @@ class Ambient:
     def gram(self):
         n = self.rank
         g = [[0] * n for _ in range(n)]
-        if self.model == CP2:
-            g[0][0] = 1
-            first_e = 1
-        else:
-            g[0][1] = g[1][0] = 1
-            first_e = 2
-        for i in range(first_e, n):
+        for a, b in _BASE_GRAM[self.model]:
+            g[a][b] = 1
+        for i in range(n - self.blowups, n):
             g[i][i] = -1
         return tuple(tuple(row) for row in g)
 
@@ -200,9 +206,13 @@ class HClass:
 
 
 def _pair(model: str, x, y) -> int:
-    # closed form of the Gram pairing on coordinate tuples: x0*y0 - sum
-    # xi*yi on CP2 and x0*y1 + x1*y0 - sum xi*yi on S2xS2, the sums over
-    # exceptional classes; both start from the full Euclidean sum
+    # closed form of the Gram pairing (_BASE_GRAM and -1 on the
+    # exceptional diagonal) on coordinate tuples: x0*y0 - sum xi*yi on
+    # CP2 and x0*y1 + x1*y0 - sum xi*yi on S2xS2, the sums over
+    # exceptional classes; both start from the full Euclidean sum.  It
+    # restates the form on purpose, as one pass per pair; the tests hold
+    # intersection_matrix, which pairs with it, equal to dual_graph,
+    # which reads _BASE_GRAM
     euclid = sum(map(mul, x, y))
     if model == CP2:
         return 2 * x[0] * y[0] - euclid
@@ -281,15 +291,41 @@ class Divisor:
 
 def dual_graph(div: Divisor):
     """(weights, edges): self-pairings in component order and the map
-    {(i, j): pairing} over pairs with nonzero pairing, i < j."""
-    q = div.intersection_matrix()
-    n = len(q)
-    weights = tuple(q[i][i] for i in range(n))
+    {(i, j): pairing} over pairs with nonzero pairing, i < j.
+
+    The pairing matrix is M G M^T for the class matrix M (one row per
+    component) and the ambient Gram G, summed over the nonzero entries
+    of G: a signed outer product of the supports of the columns each
+    entry joins.  Those are the +1 entries of _BASE_GRAM ((h, h) on the
+    plane, (s, f) and (f, s) on the product) and -1 at each exceptional
+    (e, e), for both models alike.  A column of a cycle cap has at most three nonzero
+    rows, so the work follows the nonzero entries of M, not k^2 pairs of
+    rows; Divisor.intersection_matrix gives the same matrix densely."""
+    rows = [c.coords for c in div.components]
+    k = len(rows)
+    q = [[0] * k for _ in range(k)]
+    # support[j]: the (row, entry) pairs of the nonzero entries of column j
+    columns = range(div.ambient.rank)
+    support = [[] for _ in columns]
+    for i, row in enumerate(rows):
+        for j in compress(columns, row):
+            support[j].append((i, row[j]))
+    for a, b in _BASE_GRAM[div.ambient.model]:
+        for i, x in support[a]:
+            qi = q[i]
+            for j, y in support[b]:
+                qi[j] += x * y
+    for col in support[div.ambient.rank - div.ambient.blowups:]:
+        for i, x in col:
+            qi = q[i]
+            for j, y in col:
+                qi[j] -= x * y
+    weights = tuple(q[i][i] for i in range(k))
     edges = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if q[i][j]:
-                edges[(i, j)] = q[i][j]
+    for i, qi in enumerate(q):
+        for j in range(i + 1, k):
+            if qi[j]:
+                edges[(i, j)] = qi[j]
     return weights, edges
 
 
@@ -463,6 +499,15 @@ def cycle_cap_from_path(weights, path) -> Divisor:
         s = _blowup(s, move)
     if not dominates(s, c):
         raise DomainError("sequence %s is not dominated by weights %s" % (s, c))
+    return _cycle_cap(c, path, s)
+
+
+def _cycle_cap(c, path, s) -> Divisor:
+    """The cycle cap of cycle_cap_from_path for weights c, a valid chain
+    `path` and its endpoint s, none of them checked here: the census
+    passes the endpoints of its walk, cycle_cap_from_path a path it has
+    replayed.  _cap certifies the weights (+1, 1 - c_1, -c_2, ...,
+    1 - c_l), which fix every c_i - s_i, and the whole edge map."""
     n_blowups = len(path) + sum(c) - sum(s)
     rows = [[1] + [0] * n_blowups for _ in range(3)]
     labels = ["L1", "L2", "L3"]
@@ -530,6 +575,8 @@ def realize_cap(kind: str, **params) -> Divisor:
 
 
 def divisor_to_dict(div: Divisor) -> dict:
+    """The divisor document.  divisor_to_indented_json writes the same
+    document as text and must change with it."""
     return {
         "ambient": {"model": div.ambient.model, "blowups": div.ambient.blowups},
         "components": [
@@ -538,6 +585,34 @@ def divisor_to_dict(div: Divisor) -> dict:
         ],
         "marked": div.marked,
     }
+
+
+def divisor_to_indented_json(div: Divisor, newline: str = "\n") -> str:
+    """json.dumps(divisor_to_dict(div), indent=2, sort_keys=True), byte
+    for byte, with every line break written as newline, so a report
+    writer sets the document at its depth by passing that depth's
+    newline-plus-indent.  It is written field by field with no dict
+    built, in divisor_to_dict's keys in sorted order (ambient,
+    components, marked; blowups before model; coords before label).
+    Blowups and marked are ints or None (Ambient and Divisor convert
+    them); coordinates that are not all ints go to json.dumps."""
+    nl = [newline + "  " * k for k in range(5)]
+    escape = json.encoder.encode_basestring_ascii
+    comps = []
+    for label, c in zip(div.labels, div.components):
+        coords = c.coords
+        if {*map(type, coords)} == {int}:
+            coords = "[" + nl[4] + ("," + nl[4]).join(map(int.__repr__, coords)) + nl[3] + "]"
+        else:
+            coords = json.dumps(list(coords), indent=2, sort_keys=True).replace("\n", nl[3])
+        comps.append("{" + nl[3] + '"coords": ' + coords + "," + nl[3]
+                     + '"label": ' + escape(label) + nl[2] + "}")
+    marked = "null" if div.marked is None else int.__repr__(div.marked)
+    return ("{" + nl[1] + '"ambient": {' + nl[2] + '"blowups": '
+            + int.__repr__(div.ambient.blowups) + "," + nl[2] + '"model": '
+            + escape(div.ambient.model) + nl[1] + "}," + nl[1] + '"components": '
+            + ("[" + nl[2] + ("," + nl[2]).join(comps) + nl[1] + "]" if comps else "[]")
+            + "," + nl[1] + '"marked": ' + marked + nl[0] + "}")
 
 
 def _field(data, key, types, where):

@@ -48,7 +48,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .blowup import DEFAULT_LIMIT, dominated_blowups
 from .divisor import (
@@ -58,6 +58,7 @@ from .divisor import (
     Divisor,
     HClass,
     _cap,
+    _cycle_cap,
     _pad,
     blowup_node_total,
     cycle_cap_from_path,
@@ -134,16 +135,27 @@ def _canonical_configuration(div: Divisor):
     components, each read from e_1 up, first use them, unused ones
     last.  That is a stable sort of the exceptional columns by the row
     of their first nonzero entry, unused columns past the last row:
-    ties keep index order both ways.  The key is the smaller of the two
-    variants, so equal keys mean equal rows up to a permutation of the
-    exceptional columns, possibly after reflecting one of the two
-    configurations.  The census does not decide equality with it."""
+    ties keep index order both ways.  Each row's nonzero exceptional
+    columns are read once; one pass over the rows of an ordering, last
+    row first, leaves each column's first nonzero row, and one sorted()
+    of the column indices by it, stable as the column sort is, gives
+    the permutation, applied to every row by one itemgetter.  The key
+    is the smaller of the two variants, so equal keys mean equal rows
+    up to a permutation of the exceptional columns, possibly after
+    reflecting one of the two configurations.  The census does not
+    decide equality with it."""
     coords = [c.coords for c in div.components]
+    k, width = len(coords), len(coords[0])
+    support = [[j for j in itertools.compress(range(width), row) if j] for row in coords]
     variants = []
-    for rows in (coords, [coords[0]] + coords[1:][::-1]):
-        h, *exceptional = zip(*rows)
-        exceptional.sort(key=lambda col: next((r for r, x in enumerate(col) if x), len(rows)))
-        variants.append(tuple(zip(h, *exceptional)))
+    for order in (range(k), [0, *range(k - 1, 0, -1)]):
+        first = [k] * width
+        for r in range(k - 1, -1, -1):
+            for j in support[order[r]]:
+                first[j] = r
+        columns = sorted(range(1, width), key=first.__getitem__)
+        rows = [coords[i] for i in order]
+        variants.append(tuple(map(itemgetter(0, *columns), rows)) if columns else tuple(rows))
     return min(variants)
 
 
@@ -168,12 +180,16 @@ def hyperbolic_filling_census(d, limit: int = DEFAULT_LIMIT) -> CensusResult:
     component.  The census builds one cap per endpoint s of the pruned
     walk dominated_blowups(c), from that endpoint's lexicographically
     first chain, except that when c is a palindrome it skips s once
-    s reversed has been kept.  It returns the kept caps sorted by
-    _canonical_configuration.  This keeps one cap per configuration, by
-    the rule: the caps of endpoints s and s' of c are the same
-    configuration exactly when s' = s, or c is a palindrome and s' is s
-    reversed.  So with E dominated endpoints, P of them palindromes,
-    class_count_bound is E, or (E + P) / 2 when c is a palindrome.
+    s reversed has been kept.  Each cap comes from divisor._cycle_cap,
+    given the chain and the endpoint s the walk yields together, so no
+    chain is replayed: the walk built s from that chain, and _cap still
+    certifies the cap's weights, edges and anticanonical total.  It
+    returns the kept caps sorted by _canonical_configuration.  This
+    keeps one cap per configuration, by the rule: the caps of endpoints
+    s and s' of c are the same configuration exactly when s' = s, or c
+    is a palindrome and s' is s reversed.  So with E dominated
+    endpoints, P of them palindromes, class_count_bound is E, or
+    (E + P) / 2 when c is a palindrome.
 
     If.  All chains to one endpoint give the same configuration: s is
     the quiddity sequence of one triangulation (Conway and Coxeter,
@@ -233,7 +249,7 @@ def hyperbolic_filling_census(d, limit: int = DEFAULT_LIMIT) -> CensusResult:
     caps = {}
     for path, s in dominated_blowups(c):
         if c != c[::-1] or s[::-1] not in caps:
-            caps[s] = cycle_cap_from_path(c, path)
+            caps[s] = _cycle_cap(c, path, s)
     if not caps:
         raise DomainError("string %s is not embeddable" % (d,))
     reps = tuple(sorted(caps.values(), key=_canonical_configuration))

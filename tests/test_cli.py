@@ -19,7 +19,17 @@ from hypothesis import strategies as st
 from torusfill import cli, fillings, lattice
 from torusfill.blowup import dominates
 from torusfill.cli import _parse_gram, main, parse_string_arg, run
-from torusfill.divisor import divisor_from_dict, divisor_to_dict, dual_graph, realize_cap
+from torusfill.divisor import (
+    CP2,
+    S2XS2,
+    Ambient,
+    Divisor,
+    HClass,
+    divisor_from_dict,
+    divisor_to_dict,
+    dual_graph,
+    realize_cap,
+)
 from torusfill.errors import DomainError
 from torusfill.lattice import cycle_graph_gram, tree_graph_gram
 from torusfill.sl2z import is_standard_string, orientation_reversal
@@ -190,8 +200,8 @@ class TestFillings:
         # which P are palindromes, fewer than E, fewer than the chains;
         # (3,)*7 and (6,)*9 are the reversals of their reversals, with
         # E = 7, P = 1 and E = 420, P = 4
-        spy = Mock(wraps=fillings.cycle_cap_from_path)
-        monkeypatch.setattr(fillings, "cycle_cap_from_path", spy)
+        spy = Mock(wraps=fillings._cycle_cap)
+        monkeypatch.setattr(fillings, "_cycle_cap", spy)
         for target, calls in (((3,) * 7, 4), ((6,) * 9, 212)):
             spy.reset_mock()
             d = ",".join(map(str, orientation_reversal(target)))
@@ -564,8 +574,9 @@ def test_calls_share_no_state(argvs):
 # --- the report writer against json.dumps -------------------------------------
 
 def dumps(value):
-    """The oracle: cli._json_text must print exactly this."""
-    return json.dumps(value, indent=2, sort_keys=True)
+    """The oracle: cli._json_text must print exactly this.  A Divisor is
+    written as its divisor_to_dict document."""
+    return json.dumps(value, indent=2, sort_keys=True, default=divisor_to_dict)
 
 
 _CHARS = st.one_of(
@@ -611,6 +622,35 @@ def test_writer_hands_other_values_to_json_dumps(depth, leaf):
     with patch.object(cli.json, "dumps", wraps=json.dumps) as fallback:
         assert cli._json_text(value) == want
     assert fallback.call_count == 1
+
+
+@st.composite
+def _divisors(draw):
+    """Divisors of both models, with 0 blowups and 0 components among
+    them, marked None or a component index, labels that need escapes
+    (some of them str subclasses) and coordinates of any size."""
+    amb = Ambient(draw(st.sampled_from((CP2, S2XS2))), draw(st.integers(0, 4)))
+    k = draw(st.integers(0, 4))
+    coords = st.lists(_INTS, min_size=amb.rank, max_size=amb.rank)
+    comps = [HClass(amb, tuple(draw(coords))) for _ in range(k)]
+    labels = draw(st.lists(st.one_of(_TEXT, _TEXT.map(_Str)), min_size=k, max_size=k))
+    marked = draw(st.one_of(st.none(), st.integers(0, k - 1))) if k else None
+    return Divisor(amb, comps, labels, marked)
+
+
+@given(st.recursive(_divisors(), lambda kids: st.one_of(
+    st.lists(st.one_of(kids, _LEAVES), max_size=3),
+    st.lists(kids, max_size=3).map(tuple),
+    st.dictionaries(_TEXT, st.one_of(kids, _LEAVES), max_size=3),
+), max_leaves=6))
+@example(Divisor(Ambient(CP2, 0), (), ()))
+@example([{"a": Divisor(Ambient(S2XS2, 1), [HClass(Ambient(S2XS2, 1), (1, True, -2))],
+                        ['"\\\x00\u2028\xe9'], 0)}])
+@settings(max_examples=300, deadline=None)
+def test_divisor_writer_matches_json_dumps(value):
+    # depth 0 and nested in lists, tuples and dicts, which moves the
+    # indentation the Divisor case writes
+    assert cli._json_text(value) == dumps(value)
 
 
 def _standard_grid():

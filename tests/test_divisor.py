@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from unittest.mock import Mock
@@ -23,6 +24,7 @@ from torusfill.divisor import (
     divisor_from_dict,
     divisor_from_json,
     divisor_to_dict,
+    divisor_to_indented_json,
     divisor_to_json,
     dual_graph,
     elliptic_cap,
@@ -718,9 +720,14 @@ def product_classes_oracle(n):
 
 
 def assert_sound(div):
-    """Hashable, and equal to its own serialization round trip."""
+    """Hashable, equal to its own serialization round trip, and written
+    by divisor_to_indented_json as json.dumps writes its document, at
+    depth 0 and at depth 2."""
     hash(div)
     assert divisor_from_dict(divisor_to_dict(div)) == div
+    text = json.dumps(divisor_to_dict(div), indent=2, sort_keys=True)
+    assert divisor_to_indented_json(div) == text
+    assert divisor_to_indented_json(div, "\n    ") == text.replace("\n", "\n    ")
 
 
 class TestPaddedBuildersMatchOracles:

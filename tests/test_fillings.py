@@ -1,8 +1,11 @@
+import functools
 import itertools
 import random
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusfill.blowup import DEFAULT_LIMIT, dominated_blowups, dominates, is_embeddable
 from torusfill import fillings
@@ -18,7 +21,9 @@ from torusfill.divisor import (
     cycle_cap_from_path,
     divisor_to_dict,
     dual_graph,
+    elliptic_cap,
     hyperbolic_cycle_cap,
+    hyperbolic_single_cap,
     is_anticanonical,
     parabolic_cap,
 )
@@ -115,8 +120,8 @@ class TestCensus:
             hyperbolic_filling_census((2, 2))
 
 
-def _canonical_configuration_oracle(div):
-    """The earlier canonical form: an explicit first-appearance
+def _relabelling_oracle(div):
+    """The first canonical form: an explicit first-appearance
     relabelling of the exceptional classes for each ordering."""
     n = div.ambient.blowups
     coords = [c.coords for c in div.components]
@@ -143,6 +148,35 @@ def _canonical_configuration_oracle(div):
     return min(variants)
 
 
+def _canonical_configuration_oracle(div):
+    """The earlier _canonical_configuration: a stable sort of the
+    exceptional columns of each ordering by the row of their first
+    nonzero entry, found by a scan of each column."""
+    coords = [c.coords for c in div.components]
+    variants = []
+    for rows in (coords, [coords[0]] + coords[1:][::-1]):
+        h, *exceptional = zip(*rows)
+        exceptional.sort(key=lambda col: next((r for r, x in enumerate(col) if x), len(rows)))
+        variants.append(tuple(zip(h, *exceptional)))
+    return min(variants)
+
+
+def _dual_graph_oracle(div):
+    """The earlier dual_graph: read off the dense intersection_matrix."""
+    q = div.intersection_matrix()
+    n = len(q)
+    weights = tuple(q[i][i] for i in range(n))
+    edges = {(i, j): q[i][j] for i in range(n) for j in range(i + 1, n) if q[i][j]}
+    return weights, edges
+
+
+def assert_key_and_graph_match_oracles(div):
+    assert _canonical_configuration(div) == _canonical_configuration_oracle(div), div
+    got, want = dual_graph(div), _dual_graph_oracle(div)
+    # the same edge order too, which a report's sorted edge list ignores
+    assert got == want and list(got[1]) == list(want[1]), div
+
+
 def _chain_census(d, limit=14):
     """Reference census: scan every rotation of the reversal for a
     dominated blowup, then build one cap per chain of node blowups."""
@@ -162,7 +196,7 @@ def _chain_census(d, limit=14):
         if not dominates(endpoint, target):
             continue
         cap = cycle_cap_from_path(target, path)
-        configurations.setdefault(_canonical_configuration_oracle(cap), cap)
+        configurations.setdefault(_relabelling_oracle(cap), cap)
     reps = tuple(configurations[key] for key in sorted(configurations))
     first = reps[0]
     capped = blowup_node_total(first, 1, 2)
@@ -214,7 +248,7 @@ class TestCensusOracle:
                 cap = cycle_cap_from_path(c, path)
                 cut = Divisor(cap.ambient, cap.components[:-1], cap.labels[:-1], cap.marked)
                 for div in (cap, cut):
-                    assert _canonical_configuration(div) == _canonical_configuration_oracle(div), c
+                    assert _canonical_configuration(div) == _relabelling_oracle(div), c
                 caps += 1
         assert caps > 900
 
@@ -295,6 +329,81 @@ class TestEndpointRule:
             got.append(_endpoint_counts(census.reversal)
                        + (census.invariants.class_count_bound,))
         assert got == [(35, 1, 18), (124, 0, 62), (420, 4, 212), (1420, 0, 710)]
+
+
+def _product_caps():
+    """The (fiber, conic) caps of the product-model parabolic solutions."""
+    for n in range(-7, 5):
+        product = parabolic_solutions(n)[1]
+        fiber, conic = product.fiber_class, product.conic_class
+        yield Divisor(fiber.ambient, (fiber, conic), ("F", "C"), 0)
+
+
+@functools.cache
+def _closed_form_caps():
+    """Every elliptic, parabolic, single hyperbolic and product cap."""
+    return tuple([elliptic_cap(eps, side) for eps in (-1, 0, 1) for side in ("left", "right")]
+                 + [parabolic_cap(n) for n in range(-9, 5)]
+                 + [hyperbolic_single_cap(c1) for c1 in range(3, 12)]
+                 + list(_product_caps()))
+
+
+class TestKeyAndGraphMatchOracles:
+    def test_endpoint_rule_sweep(self):
+        # every cap the census builds on the strings of TestEndpointRule
+        caps = 0
+        for d in itertools.chain(_small_embeddable_strings(),
+                                 _constant_cycle_strings(range(3, 7))):
+            c = orientation_reversal(d)
+            for path, s in dominated_blowups(c):
+                cap = fillings._cycle_cap(c, path, s)
+                assert cap == cycle_cap_from_path(c, path)
+                assert_key_and_graph_match_oracles(cap)
+                caps += 1
+        assert caps == 3250
+
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_constant_cycles(self, k):
+        c = (k,) * (k + 3)
+        caps = 0
+        for path, s in dominated_blowups(c):
+            assert_key_and_graph_match_oracles(fillings._cycle_cap(c, path, s))
+            caps += 1
+        assert caps == {7: 1420, 8: 4851}[k]
+
+    def test_closed_form_caps(self):
+        caps = _closed_form_caps()
+        assert {cap.ambient.model for cap in caps} == {CP2, S2XS2}
+        for cap in caps:
+            assert_key_and_graph_match_oracles(cap)
+
+    def test_empty_divisor_has_the_empty_graph(self):
+        empty = Divisor(Ambient(S2XS2, 2), (), ())
+        assert dual_graph(empty) == _dual_graph_oracle(empty) == ((), {})
+
+
+_CYCLE_STARTS = tuple(hyperbolic_cycle_cap(d) for d in [(5,), (3, 3, 4, 3, 3), (4, 4), (2, 3, 3)])
+
+
+@st.composite
+def _blown_up_caps(draw):
+    """A closed-form or cycle cap, then up to six blowups drawn from
+    blowup_generic and blowup_node_total, each on a valid component."""
+    div = draw(st.sampled_from(_closed_form_caps() + _CYCLE_STARTS))
+    for _ in range(draw(st.integers(0, 6))):
+        n = len(div)
+        i = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            div = blowup_generic(div, i, draw(st.integers(1, 3)))
+        elif div.components[i].dot(div.components[(i + 1) % n]) >= 1:
+            div = blowup_node_total(div, i, (i + 1) % n)
+    return div
+
+
+@given(_blown_up_caps())
+@settings(max_examples=300, deadline=None)
+def test_blown_up_caps_match_oracles(div):
+    assert_key_and_graph_match_oracles(div)
 
 
 class TestEuler:
