@@ -80,6 +80,7 @@ def enumerate_blowups(length: int, limit: int = DEFAULT_LIMIT):
     pruned walk finds under the constant target (length - 2,) * length,
     which dominates all of them: a vertex of a triangulated polygon
     with length vertices lies in at most length - 2 triangles."""
+    (length,) = _ints((length,), "sequence length")
     if length < 2:
         raise DomainError("length must be >= 2, got %d" % length)
     _within(limit, length, "enumeration of length-%d sequences")

@@ -7,9 +7,11 @@ no timing field); elapsed time is shown in text mode only.  The
 distfill report and its two invariants, the lattice invariants, the
 classify h1 and the classify and embed witness are copies of the fields
 of their result dataclasses (dict(vars(result))), so a field added to
-one of those is reported without an edit here.  The cap and fillings
-reports hold their Divisors themselves, which _json_text writes as
-their divisor_to_dict documents.
+one of those is reported without an edit here.  The classify and embed
+reports take their reversal, embeddability and witness from one helper,
+_embedding.  The cap verb builds its cap through divisor.realize_cap,
+and the cap and fillings reports hold their Divisors themselves, which
+_json_text writes as their divisor_to_dict documents.
 
 run builds its argparse parser once per process, at its first call, and
 every later call parses with that same parser.
@@ -36,10 +38,7 @@ from .divisor import (
     cycle_monodromy,
     divisor_to_indented_json,
     dual_graph,
-    elliptic_cap,
-    hyperbolic_cycle_cap,
-    hyperbolic_single_cap,
-    parabolic_cap,
+    realize_cap,
 )
 from .errors import DomainError, ResourceLimitError
 from .sl2z import (
@@ -102,12 +101,10 @@ def _report_classify(args):
         sign, standard = hyperbolic_standard_form(mat)
         report["standard_form"] = {"sign": sign, "string": list(standard)}
     if is_standard_string(d):
-        rev = orientation_reversal(d)
-        report["orientation_reversal"] = list(rev)
-        witness = embeddability_witness(d, args.limit)
-        report["embeddable"] = witness is not None
-        if witness is not None:
-            report["witness"] = dict(vars(witness))
+        # classify omits an absent witness, which embed writes as null;
+        # the witness is the one field that can be None
+        report.update((key, value) for key, value in _embedding(d, args.limit).items()
+                      if value is not None)
     else:
         warnings.append("string is not standard; reversal and embeddability skipped")
     if mat.trace != 2:
@@ -138,19 +135,21 @@ def _text_classify(report):
         print("H1:            Z^%d + torsion %s" % (h1["free_rank"], list(h1["torsion"])))
 
 
-def _report_embed(args):
-    d = args.d
+def _embedding(d, limit):
+    """The orientation reversal, embeddability and witness (None when
+    there is none) of the standard string d: the fields the classify
+    and embed reports share."""
     rev = orientation_reversal(d)
-    witness = embeddability_witness(d, args.limit)
-    report = {
-        "input": list(d),
+    witness = embeddability_witness(d, limit)
+    return {
         "orientation_reversal": list(rev),
         "embeddable": witness is not None,
-        "witness": None,
+        "witness": None if witness is None else dict(vars(witness)),
     }
-    if witness is not None:
-        report["witness"] = dict(vars(witness))
-    return report
+
+
+def _report_embed(args):
+    return {"input": list(args.d), **_embedding(args.d, args.limit)}
 
 
 def _text_embed(report):
@@ -174,14 +173,14 @@ def _cap_from_args(args):
     if sum(chosen) != 1:
         raise DomainError("cap needs exactly one of --d, --c1, --n, --elliptic")
     if args.d is not None:
-        return hyperbolic_cycle_cap(args.d, limit=args.limit)
+        return realize_cap("hyperbolic-cycle", d=args.d, limit=args.limit)
     if args.c1 is not None:
-        return hyperbolic_single_cap(args.c1)
+        return realize_cap("hyperbolic-single", c1=args.c1)
     if args.n is not None:
-        return parabolic_cap(args.n)
+        return realize_cap("parabolic", n=args.n)
     if args.epsilon is None:
         raise DomainError("--elliptic needs --epsilon")
-    return elliptic_cap(args.epsilon, args.elliptic)
+    return realize_cap("elliptic-" + args.elliptic, epsilon=args.epsilon)
 
 
 def _report_cap(args):

@@ -6,7 +6,10 @@ s, f, e_1, ..., e_N, hyperbolic pairing on s, f).  A divisor is a
 cyclically ordered tuple of classes; its dual graph has the
 self-pairings as vertex weights and the mutual pairings as edge
 multiplicities.  All transforms return new values; the full coordinates
-are the primary data and graphs are always derived from them.
+are the primary data and graphs are always derived from them, by one
+routine: Divisor.intersection_matrix sums M G M^T over the column
+supports of the class matrix M, and dual_graph reads its weights and
+edges off that matrix.  HClass.dot pairs two classes in closed form.
 
 Cap constructions start from two configurations of complex curves in
 the plane: three lines in general position (a triangle of h classes)
@@ -15,7 +18,8 @@ and nodes produces the cycle-shaped configurations whose boundaries are
 the torus bundles of interest.  Every builder ends in one certificate,
 _cap: the divisor is marked at component 0, its dual graph is asserted
 to be exactly the advertised one, vertex weights and the whole edge
-map, and its total class to be anticanonical.
+map, and its total class to be anticanonical.  realize_cap dispatches
+to the builders by cap kind; the cap verb of the CLI builds through it.
 
 Blowups write each class once, in the grown ambient, through one
 private writer, _pad: every component is padded with one coordinate
@@ -210,9 +214,9 @@ def _pair(model: str, x, y) -> int:
     # exceptional diagonal) on coordinate tuples: x0*y0 - sum xi*yi on
     # CP2 and x0*y1 + x1*y0 - sum xi*yi on S2xS2, the sums over
     # exceptional classes; both start from the full Euclidean sum.  It
-    # restates the form on purpose, as one pass per pair; the tests hold
-    # intersection_matrix, which pairs with it, equal to dual_graph,
-    # which reads _BASE_GRAM
+    # restates the form on purpose, as one pass per pair, for
+    # HClass.dot; the tests hold the matrix of dot pairings equal to
+    # Divisor.intersection_matrix, which reads _BASE_GRAM
     euclid = sum(map(mul, x, y))
     if model == CP2:
         return 2 * x[0] * y[0] - euclid
@@ -274,14 +278,34 @@ class Divisor:
         return len(self.components)
 
     def intersection_matrix(self):
-        # every component shares self.ambient (checked on construction),
-        # so the coordinates pair directly, each unordered pair once
-        model = self.ambient.model
+        """The pairing matrix M G M^T of the class matrix M (one row per
+        component) and the ambient Gram G, summed over the nonzero
+        entries of G: a signed outer product of the supports of the
+        columns each entry joins.  Those are the +1 entries of
+        _BASE_GRAM ((h, h) on the plane, (s, f) and (f, s) on the
+        product) and -1 at each exceptional (e, e), for both models
+        alike.  A column of a cycle cap has at most three nonzero rows,
+        so the work follows the nonzero entries of M, not k^2 pairs of
+        rows.  Every component shares self.ambient (checked on
+        construction), so the rows pair directly."""
         rows = [c.coords for c in self.components]
         q = [[0] * len(rows) for _ in rows]
-        for i, x in enumerate(rows):
-            for j in range(i, len(rows)):
-                q[i][j] = q[j][i] = _pair(model, x, rows[j])
+        # support[j]: the (row, entry) pairs of the nonzero entries of column j
+        columns = range(self.ambient.rank)
+        support = [[] for _ in columns]
+        for i, row in enumerate(rows):
+            for j in compress(columns, row):
+                support[j].append((i, row[j]))
+        for a, b in _BASE_GRAM[self.ambient.model]:
+            for i, x in support[a]:
+                qi = q[i]
+                for j, y in support[b]:
+                    qi[j] += x * y
+        for col in support[self.ambient.rank - self.ambient.blowups:]:
+            for i, x in col:
+                qi = q[i]
+                for j, y in col:
+                    qi[j] -= x * y
         return tuple(map(tuple, q))
 
     def total_class(self) -> HClass:
@@ -291,41 +315,11 @@ class Divisor:
 
 def dual_graph(div: Divisor):
     """(weights, edges): self-pairings in component order and the map
-    {(i, j): pairing} over pairs with nonzero pairing, i < j.
-
-    The pairing matrix is M G M^T for the class matrix M (one row per
-    component) and the ambient Gram G, summed over the nonzero entries
-    of G: a signed outer product of the supports of the columns each
-    entry joins.  Those are the +1 entries of _BASE_GRAM ((h, h) on the
-    plane, (s, f) and (f, s) on the product) and -1 at each exceptional
-    (e, e), for both models alike.  A column of a cycle cap has at most three nonzero
-    rows, so the work follows the nonzero entries of M, not k^2 pairs of
-    rows; Divisor.intersection_matrix gives the same matrix densely."""
-    rows = [c.coords for c in div.components]
-    k = len(rows)
-    q = [[0] * k for _ in range(k)]
-    # support[j]: the (row, entry) pairs of the nonzero entries of column j
-    columns = range(div.ambient.rank)
-    support = [[] for _ in columns]
-    for i, row in enumerate(rows):
-        for j in compress(columns, row):
-            support[j].append((i, row[j]))
-    for a, b in _BASE_GRAM[div.ambient.model]:
-        for i, x in support[a]:
-            qi = q[i]
-            for j, y in support[b]:
-                qi[j] += x * y
-    for col in support[div.ambient.rank - div.ambient.blowups:]:
-        for i, x in col:
-            qi = q[i]
-            for j, y in col:
-                qi[j] -= x * y
-    weights = tuple(q[i][i] for i in range(k))
-    edges = {}
-    for i, qi in enumerate(q):
-        for j in range(i + 1, k):
-            if qi[j]:
-                edges[(i, j)] = qi[j]
+    {(i, j): pairing} over pairs with nonzero pairing, i < j, both read
+    off div.intersection_matrix()."""
+    q = div.intersection_matrix()
+    weights = tuple(qi[i] for i, qi in enumerate(q))
+    edges = {(i, j): qi[j] for i, qi in enumerate(q) for j in range(i + 1, len(q)) if qi[j]}
     return weights, edges
 
 
@@ -350,6 +344,7 @@ def blowup_generic(div: Divisor, index: int, times: int = 1) -> Divisor:
     """Blow up `times` generic points of one component and take proper
     transforms: the component loses the new exceptional classes, all
     other classes are unchanged."""
+    index, times = _ints((index, times), "generic blowup arguments")
     if times < 1:
         raise DomainError("generic blowup needs times >= 1, got %d" % times)
     if not 0 <= index < len(div):
@@ -362,6 +357,7 @@ def blowup_node_total(div: Divisor, i: int, j: int) -> Divisor:
     """Blow up a node between cyclically adjacent components i and j and
     take the total transform: both classes lose the new exceptional
     class e, and e is inserted between them as a new component."""
+    i, j = _ints((i, j), "component indices")
     n = len(div)
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError("component index out of range")
@@ -428,6 +424,7 @@ def elliptic_cap(epsilon: int, side: str) -> Divisor:
     conic with 2 generic points on the line and 6 - epsilon on the
     conic; dual graph is the double edge (-1, epsilon - 2).
     """
+    (epsilon,) = _ints((epsilon,), "epsilon")
     if epsilon not in (-1, 0, 1):
         raise DomainError("epsilon must be one of -1, 0, 1, got %r" % (epsilon,))
     if side == "left":
@@ -444,6 +441,7 @@ def parabolic_cap(n: int) -> Divisor:
     """Cap for the parabolic bundle family: line and conic with one
     generic point on the line and 4 - n on the conic; dual graph is the
     double edge (0, n).  Defined for n <= 4 only."""
+    (n,) = _ints((n,), "parabolic parameter")
     if n > 4:
         raise DomainError(
             "no cap for n > 4: the configuration does not embed in any "
@@ -457,6 +455,7 @@ def hyperbolic_single_cap(c1: int) -> Divisor:
     """Cap for the hyperbolic family with a length-one weight string:
     line and conic with c1 + 2 generic points on the conic; dual graph
     is the double edge (+1, 2 - c1).  Requires c1 >= 3."""
+    (c1,) = _ints((c1,), "single-vertex weight")
     if c1 < 3:
         raise DomainError("single-vertex weight must be >= 3, got %d" % c1)
     return _cap(*_pad(CP2, ((1,), (2,)), [((1,), c1 + 2)]), ("L", "C"),
@@ -553,22 +552,33 @@ def hyperbolic_cycle_cap(d, witness: EmbeddingWitness | None = None,
     return cycle_cap_from_path(witness.target, path_to(witness.sequence))
 
 
+# the parameter each cap kind of realize_cap reads
+_CAP_PARAMETER = {"elliptic-left": "epsilon", "elliptic-right": "epsilon", "parabolic": "n",
+                  "hyperbolic-single": "c1", "hyperbolic-cycle": "d"}
+
+
 def realize_cap(kind: str, **params) -> Divisor:
     """Dispatch a cap construction by kind: 'elliptic-left',
     'elliptic-right' (epsilon=...), 'parabolic' (n=...),
     'hyperbolic-single' (c1=...), or 'hyperbolic-cycle' (d=...,
-    optionally witness=...)."""
-    if kind == "elliptic-left":
-        return elliptic_cap(params["epsilon"], "left")
-    if kind == "elliptic-right":
-        return elliptic_cap(params["epsilon"], "right")
-    if kind == "parabolic":
-        return parabolic_cap(params["n"])
-    if kind == "hyperbolic-single":
-        return hyperbolic_single_cap(params["c1"])
+    optionally witness=... and limit=..., the witness search budget of
+    hyperbolic_cycle_cap, DEFAULT_LIMIT by default).  An unknown kind,
+    or a kind without its parameter, raises DomainError naming it before
+    any builder runs; other parameters are ignored."""
+    if not isinstance(kind, str) or kind not in _CAP_PARAMETER:
+        raise DomainError("unknown cap kind %r" % (kind,))
+    name = _CAP_PARAMETER[kind]
+    if name not in params:
+        raise DomainError("cap kind %r needs the parameter %r" % (kind, name))
+    value = params[name]
     if kind == "hyperbolic-cycle":
-        return hyperbolic_cycle_cap(params["d"], params.get("witness"))
-    raise DomainError("unknown cap kind %r" % (kind,))
+        return hyperbolic_cycle_cap(value, params.get("witness"),
+                                    params.get("limit", DEFAULT_LIMIT))
+    if kind == "parabolic":
+        return parabolic_cap(value)
+    if kind == "hyperbolic-single":
+        return hyperbolic_single_cap(value)
+    return elliptic_cap(value, kind.removeprefix("elliptic-"))
 
 
 # --- serialization --------------------------------------------------------
@@ -576,13 +586,16 @@ def realize_cap(kind: str, **params) -> Divisor:
 
 def divisor_to_dict(div: Divisor) -> dict:
     """The divisor document.  divisor_to_indented_json writes the same
-    document as text and must change with it."""
+    document as text and must change with it.  Coordinates that are not
+    integers raise DomainError, as divisor_from_dict refuses them; int
+    and bool entries are written as they are."""
+    components = []
+    for label, c in zip(div.labels, div.components):
+        _ints(c.coords, "coordinates")
+        components.append({"label": label, "coords": list(c.coords)})
     return {
         "ambient": {"model": div.ambient.model, "blowups": div.ambient.blowups},
-        "components": [
-            {"label": label, "coords": list(c.coords)}
-            for label, c in zip(div.labels, div.components)
-        ],
+        "components": components,
         "marked": div.marked,
     }
 
@@ -595,7 +608,8 @@ def divisor_to_indented_json(div: Divisor, newline: str = "\n") -> str:
     built, in divisor_to_dict's keys in sorted order (ambient,
     components, marked; blowups before model; coords before label).
     Blowups and marked are ints or None (Ambient and Divisor convert
-    them); coordinates that are not all ints go to json.dumps."""
+    them); coordinates that are not all ints are checked as
+    divisor_to_dict checks them and go to json.dumps."""
     nl = [newline + "  " * k for k in range(5)]
     escape = json.encoder.encode_basestring_ascii
     comps = []
@@ -604,6 +618,7 @@ def divisor_to_indented_json(div: Divisor, newline: str = "\n") -> str:
         if {*map(type, coords)} == {int}:
             coords = "[" + nl[4] + ("," + nl[4]).join(map(int.__repr__, coords)) + nl[3] + "]"
         else:
+            _ints(coords, "coordinates")
             coords = json.dumps(list(coords), indent=2, sort_keys=True).replace("\n", nl[3])
         comps.append("{" + nl[3] + '"coords": ' + coords + "," + nl[3]
                      + '"label": ' + escape(label) + nl[2] + "}")

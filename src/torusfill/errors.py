@@ -1,10 +1,11 @@
 """Exception types shared across the package, with its one reader of
 integers and its one budget check.
 
-_ints reads integer sequences and matrix rows: int and bool entries pass
-and any other entry raises DomainError, so nothing is truncated or
-parsed.  _within is where every ResourceLimitError is raised: each
-enumeration budget of the package is one _within call."""
+_ints reads integer sequences, matrix rows and, as one-entry tuples,
+scalar parameters: int and bool entries pass and any other entry raises
+DomainError, so nothing is truncated or parsed.  _within is where every
+ResourceLimitError is raised: each enumeration budget of the package is
+one _within call, and it reads its limit with _ints."""
 
 from operator import index
 
@@ -34,6 +35,9 @@ def _ints(values, what) -> tuple:
 
 def _within(limit, size, what):
     """Refuse size past limit: ResourceLimitError("<what % size> exceeds
-    limit <limit>"), the message built only on refusal."""
+    limit <limit>"), the message built only on refusal.  The limit is
+    read with _ints, so a limit that is not an integer raises
+    DomainError rather than being compared, or printed, truncated."""
+    (limit,) = _ints((limit,), "limit")
     if size > limit:
         raise ResourceLimitError("%s exceeds limit %d" % (what % size, limit))

@@ -65,7 +65,7 @@ from .divisor import (
     is_anticanonical,
     parabolic_cap,
 )
-from .errors import DomainError, _within
+from .errors import DomainError, _ints, _within
 from .lattice import (
     EVEN,
     LatticeInvariants,
@@ -397,6 +397,7 @@ def parabolic_solutions_raw(n: int) -> dict:
     minimality condition, keyed by model.  Below _SEARCH_N_MIN the plane
     survivor has more exceptional classes than the box tries, so such n
     are refused rather than searched."""
+    (n,) = _ints((n,), "parabolic parameter")
     if n > 4:
         raise DomainError(
             "no parabolic solutions for n > 4: the cap configuration does "
@@ -647,6 +648,7 @@ def distfill_family(n: int, limit: int = 50) -> DistFillResult:
     (-1)^(n+1) 9 (9n + 20); a mismatch is reported in matches_formula
     rather than asserted away.
     """
+    (n,) = _ints((n,), "family parameter")
     if n < 0:
         raise DomainError("family parameter must be nonnegative")
     _within(limit, n, "family parameter %d")
@@ -725,7 +727,7 @@ def double_cover_obstruction(d, r) -> str:
     and INCONCLUSIVE is never returned; it stays a schema value.
     """
     entries = _standard(d, "obstruction")
-    tup = tuple(r)
+    tup = _ints(r, "rotation numbers")
     if len(tup) != len(entries):
         raise DomainError("rotation tuple length %d does not match string length %d"
                           % (len(tup), len(entries)))

@@ -552,7 +552,7 @@ def tree_graph_gram(weights, edges):
     w = _ints(weights, "weights")
     n = len(w)
     edges = tuple(_ints(edge, "edge endpoints") for edge in edges)
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise DomainError("bad edge (%d, %d)" % (i, j))
+    for edge in edges:
+        if len(edge) != 2 or not (0 <= edge[0] < n and 0 <= edge[1] < n) or edge[0] == edge[1]:
+            raise DomainError("bad edge %s" % (edge,))
     return _graph_gram(w, [(i, j, 1) for i, j in edges])

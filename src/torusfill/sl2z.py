@@ -162,6 +162,7 @@ def evaluate_word(word, sign: int = 1) -> Mat2:
         raise DomainError("sign must be +1 or -1")
     result = IDENTITY
     for gen, exp in pairs:
+        (exp,) = _ints((exp,), "exponents")
         if gen == "S":
             result = result * (S ** exp)
         elif gen == "T":

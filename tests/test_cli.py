@@ -28,9 +28,12 @@ from torusfill.divisor import (
     divisor_from_dict,
     divisor_to_dict,
     dual_graph,
-    realize_cap,
+    elliptic_cap,
+    hyperbolic_cycle_cap,
+    hyperbolic_single_cap,
+    parabolic_cap,
 )
-from torusfill.errors import DomainError
+from torusfill.errors import DomainError, ResourceLimitError
 from torusfill.lattice import cycle_graph_gram, tree_graph_gram
 from torusfill.sl2z import is_standard_string, orientation_reversal
 
@@ -107,17 +110,25 @@ class TestEmbed:
         assert status == 1 and "error" in err
 
 
-# cap arguments with the realize_cap kind and parameters they name
+# cap arguments with the builder and arguments they name; the --d cases
+# put --limit on each side of the reversal length, 3 for (5,) and 6 for
+# (3, 3, 4, 3, 3)
 CAP_CASES = [
-    (["--c1", "3"], "hyperbolic-single", {"c1": 3}),
-    (["--c1", "7"], "hyperbolic-single", {"c1": 7}),
-    (["--c1", "2"], "hyperbolic-single", {"c1": 2}),
-    (["--n", "4"], "parabolic", {"n": 4}),
-    (["--n=-3"], "parabolic", {"n": -3}),
-    (["--n", "5"], "parabolic", {"n": 5}),
-    (["--elliptic", "left", "--epsilon", "1"], "elliptic-left", {"epsilon": 1}),
-    (["--elliptic", "right", "--epsilon=-1"], "elliptic-right", {"epsilon": -1}),
-    (["--elliptic", "right", "--epsilon", "2"], "elliptic-right", {"epsilon": 2}),
+    (["--c1", "3"], hyperbolic_single_cap, (3,)),
+    (["--c1", "7"], hyperbolic_single_cap, (7,)),
+    (["--c1", "2"], hyperbolic_single_cap, (2,)),
+    (["--n", "4"], parabolic_cap, (4,)),
+    (["--n=-3"], parabolic_cap, (-3,)),
+    (["--n", "5"], parabolic_cap, (5,)),
+    (["--elliptic", "left", "--epsilon", "1"], elliptic_cap, (1, "left")),
+    (["--elliptic", "right", "--epsilon=-1"], elliptic_cap, (-1, "right")),
+    (["--elliptic", "right", "--epsilon", "2"], elliptic_cap, (2, "right")),
+    (["--d", "5"], hyperbolic_cycle_cap, ((5,),)),
+    (["--d", "5", "--limit", "3"], hyperbolic_cycle_cap, ((5,), None, 3)),
+    (["--d", "5", "--limit", "2"], hyperbolic_cycle_cap, ((5,), None, 2)),
+    (["--d", "3,3,4,3,3", "--limit", "6"], hyperbolic_cycle_cap, ((3, 3, 4, 3, 3), None, 6)),
+    (["--d", "3,3,4,3,3", "--limit", "5"], hyperbolic_cycle_cap, ((3, 3, 4, 3, 3), None, 5)),
+    (["--d", "3"], hyperbolic_cycle_cap, ((3,),)),
 ]
 
 # refusals of a verb whose options argparse accepts but the verb cannot use
@@ -160,19 +171,20 @@ class TestCap:
     def test_refusals_name_the_missing_option(self, capsys, argv, message, mode):
         assert capture(capsys, argv + mode) == (1, "", "error: %s\n" % message)
 
-    @pytest.mark.parametrize("argv, kind, params", CAP_CASES,
+    @pytest.mark.parametrize("argv, builder, params", CAP_CASES,
                              ids=[" ".join(argv) for argv, _, _ in CAP_CASES])
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
-    def test_reports_match_realize_cap(self, capsys, monkeypatch, argv, kind, params, mode):
-        # the verb calls each builder directly; realize_cap's dispatch is
-        # the reference for the divisor, the whole report and the errors
+    def test_reports_match_realize_cap(self, capsys, monkeypatch, argv, builder, params, mode):
+        # the verb dispatches through realize_cap; the builder it names,
+        # called directly, is the reference for the divisor, the whole
+        # report and the errors
         got = capture(capsys, ["cap"] + argv + mode)
         try:
-            reference = realize_cap(kind, **params)
-        except DomainError as exc:
+            reference = builder(*params)
+        except (DomainError, ResourceLimitError) as exc:
             assert got == (1, "", "error: %s\n" % exc)
             return
-        monkeypatch.setattr(cli, "_cap_from_args", lambda args: realize_cap(kind, **params))
+        monkeypatch.setattr(cli, "_cap_from_args", lambda args: builder(*params))
         want = capture(capsys, ["cap"] + argv + mode)
         if mode:
             assert json.loads(got[1])["divisor"] == divisor_to_dict(reference)

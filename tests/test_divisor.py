@@ -35,7 +35,7 @@ from torusfill.divisor import (
     parabolic_cap,
     realize_cap,
 )
-from torusfill.errors import DomainError
+from torusfill.errors import DomainError, ResourceLimitError
 from torusfill.fillings import (
     _canonical_configuration,
     family_configuration_divisors,
@@ -276,8 +276,41 @@ class TestCaps:
     def test_realize_cap_dispatcher(self):
         assert realize_cap("parabolic", n=4) == parabolic_cap(4)
         assert realize_cap("elliptic-left", epsilon=0) == elliptic_cap(0, "left")
-        with pytest.raises(DomainError):
-            realize_cap("unknown")
+        for kind in ("unknown", ["parabolic"]):
+            with pytest.raises(DomainError, match="^unknown cap kind "):
+                realize_cap(kind, n=4)
+
+    @pytest.mark.parametrize("kind, name", [
+        ("elliptic-left", "epsilon"),
+        ("elliptic-right", "epsilon"),
+        ("parabolic", "n"),
+        ("hyperbolic-single", "c1"),
+        ("hyperbolic-cycle", "d"),
+    ])
+    def test_realize_cap_names_a_missing_parameter(self, kind, name, monkeypatch):
+        # refused before any builder runs, whatever else is passed
+        for builder in ("elliptic_cap", "parabolic_cap", "hyperbolic_single_cap",
+                        "hyperbolic_cycle_cap"):
+            monkeypatch.setattr(divisor, builder, Mock(side_effect=AssertionError(builder)))
+        message = "^%s$" % re.escape("cap kind %r needs the parameter %r" % (kind, name))
+        for params in ({}, {"limit": 3, "witness": None, "m": 1}):
+            with pytest.raises(DomainError, match=message):
+                realize_cap(kind, **params)
+
+    @pytest.mark.parametrize("d", [(5,), (3, 3, 4, 3, 3), (4, 4), (2, 3, 3), (3,), (6, 2, 2)])
+    def test_realize_cap_forwards_the_limit(self, d):
+        # a limit on each side of the reversal length, and the default
+        length = len(orientation_reversal(d))
+        for limit in (length - 1, length, length + 1, None):
+            kwargs = {} if limit is None else {"limit": limit}
+            outcomes = []
+            for build in (lambda: realize_cap("hyperbolic-cycle", d=d, **kwargs),
+                          lambda: hyperbolic_cycle_cap(d, **kwargs)):
+                try:
+                    outcomes.append(build())
+                except (DomainError, ResourceLimitError) as exc:
+                    outcomes.append("%s: %s" % (type(exc).__name__, exc))
+            assert outcomes[0] == outcomes[1], (d, limit)
 
 
 class TestCycleMonodromy:

@@ -1,7 +1,8 @@
 """The integer-input contract: every public function that reads a
-sequence or a matrix of integers takes int and bool entries, and refuses
-any other entry with DomainError("... must be integers, got <entry>"),
-never truncating it, parsing it or letting a raw TypeError escape."""
+sequence, a matrix or a scalar parameter of integers, a resource limit
+included, takes int and bool entries, and refuses any other entry with
+DomainError("... must be integers, got <entry>"), never truncating it,
+parsing it or letting a raw TypeError escape."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -25,17 +26,34 @@ from test_lattice import (
     tree_graph_gram_oracle,
 )
 from test_sl2z import block_list_reversal
-from torusfill.blowup import blowup_at, dominated_blowups, path_to
+from torusfill.blowup import (
+    blowup_at,
+    dominated_blowups,
+    embeddability_witness,
+    enumerate_blowups,
+    path_to,
+)
 from torusfill.divisor import (
     CP2,
     S2XS2,
     Ambient,
+    Divisor,
+    HClass,
+    blowup_generic,
+    blowup_node_total,
     cycle_cap_from_path,
     cycle_monodromy,
     divisor_from_dict,
     divisor_from_json,
+    divisor_to_dict,
+    divisor_to_indented_json,
+    divisor_to_json,
+    elliptic_cap,
+    hyperbolic_single_cap,
+    parabolic_cap,
 )
-from torusfill.errors import DomainError, _ints
+from torusfill.errors import DomainError, ResourceLimitError, _ints
+from torusfill.fillings import distfill_family, double_cover_obstruction, parabolic_solutions
 from torusfill.lattice import (
     cokernel_invariants,
     cycle_graph_gram,
@@ -54,6 +72,7 @@ from torusfill.lattice import (
 from torusfill.sl2z import (
     cyclic_canonical,
     cyclic_equal,
+    evaluate_word,
     is_standard_string,
     monodromy,
     orientation_reversal,
@@ -227,6 +246,11 @@ def test_ints_reads_once_and_names_the_first_bad_entry():
         _ints([1, "4", 2.5], "entries")
 
 
+TRIANGLE = elliptic_cap(0, "left")
+# a Divisor whose class holds a float, which HClass does not check
+HALF = Divisor(Ambient(CP2, 0), (HClass(Ambient(CP2, 0), (0.5,)),), ("L",))
+
+
 @pytest.mark.parametrize(
     "fn, args",
     [
@@ -251,11 +275,56 @@ def test_ints_reads_once_and_names_the_first_bad_entry():
         pytest.param(divisor_from_json, ('{"ambient": {"model": "CP2", "blowups": 0}, '
                                          '"components": [{"label": "L", "coords": [1]}], '
                                          '"marked": 0.5}',), id="divisor_from_json-marked"),
+        pytest.param(blowup_generic, (TRIANGLE, 0.0, 1), id="blowup_generic-index"),
+        pytest.param(blowup_generic, (TRIANGLE, 0, 1.5), id="blowup_generic-times"),
+        pytest.param(blowup_node_total, (TRIANGLE, 0.0, 1), id="blowup_node_total"),
+        pytest.param(parabolic_cap, (0.5,), id="parabolic_cap"),
+        pytest.param(hyperbolic_single_cap, (3.5,), id="hyperbolic_single_cap"),
+        pytest.param(elliptic_cap, (1.0, "left"), id="elliptic_cap"),
+        pytest.param(enumerate_blowups, (4.0,), id="enumerate_blowups"),
+        pytest.param(parabolic_solutions, (0.5,), id="parabolic_solutions"),
+        pytest.param(evaluate_word, ([("T", 1.5)],), id="evaluate_word"),
+        pytest.param(distfill_family, (1.5,), id="distfill_family"),
+        pytest.param(embeddability_witness, ((5,), 2.5), id="embeddability_witness-limit"),
+        pytest.param(double_cover_obstruction, ((4,), (0.5,)), id="double_cover_obstruction"),
+        pytest.param(double_cover_obstruction, ((4,), ("0",)), id="double_cover_obstruction-str"),
+        pytest.param(divisor_to_dict, (HALF,), id="divisor_to_dict"),
+        pytest.param(divisor_to_json, (HALF,), id="divisor_to_json"),
+        pytest.param(divisor_to_indented_json, (HALF,), id="divisor_to_indented_json"),
     ],
 )
 def test_truncating_probes_are_refused(fn, args):
     with pytest.raises(DomainError, match="must be integers, got "):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, with_bools, with_ints",
+    [
+        pytest.param(blowup_generic, (TRIANGLE, False, True), (TRIANGLE, 0, 1),
+                     id="blowup_generic"),
+        pytest.param(blowup_node_total, (TRIANGLE, False, True), (TRIANGLE, 0, 1),
+                     id="blowup_node_total"),
+        pytest.param(parabolic_cap, (True,), (1,), id="parabolic_cap"),
+        pytest.param(elliptic_cap, (True, "right"), (1, "right"), id="elliptic_cap"),
+        pytest.param(parabolic_solutions, (False,), (0,), id="parabolic_solutions"),
+        pytest.param(evaluate_word, ([("T", True), ("S", False)],), ([("T", 1), ("S", 0)],),
+                     id="evaluate_word"),
+        pytest.param(distfill_family, (True,), (1,), id="distfill_family"),
+        pytest.param(embeddability_witness, ((5,), True), ((5,), 1),
+                     id="embeddability_witness-limit"),
+        pytest.param(double_cover_obstruction, ((3,), (True,)), ((3,), (1,)),
+                     id="double_cover_obstruction"),
+    ],
+)
+def test_bool_scalars_read_as_ints(fn, with_bools, with_ints):
+    def result(args):
+        try:
+            return fn(*args)
+        except (DomainError, ResourceLimitError) as exc:
+            return "%s: %s" % (type(exc).__name__, exc)
+
+    assert result(with_bools) == result(with_ints)
 
 
 def test_bool_strings_still_run():

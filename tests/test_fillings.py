@@ -162,8 +162,12 @@ def _canonical_configuration_oracle(div):
 
 
 def _dual_graph_oracle(div):
-    """The earlier dual_graph: read off the dense intersection_matrix."""
-    q = div.intersection_matrix()
+    """dual_graph read off the dense matrix of HClass.dot pairings, not
+    off intersection_matrix, which dual_graph itself reads."""
+    # imported here: test_divisor imports this module
+    from test_divisor import intersection_matrix_oracle
+
+    q = intersection_matrix_oracle(div)
     n = len(q)
     weights = tuple(q[i][i] for i in range(n))
     edges = {(i, j): q[i][j] for i in range(n) for j in range(i + 1, n) if q[i][j]}

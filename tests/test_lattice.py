@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from unittest.mock import Mock
 
@@ -1045,3 +1046,8 @@ class TestPlumbingBuildersMatchOracles:
     def test_tree_names_its_first_bad_edge(self):
         with pytest.raises(DomainError, match=r"^bad edge \(2, 2\)$"):
             tree_graph_gram((-2, -2, -2), [(0, 1), (2, 2), (0, 5)])
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), ()])
+    def test_tree_refuses_an_edge_without_two_endpoints(self, edge):
+        with pytest.raises(DomainError, match=r"^bad edge %s$" % re.escape(str(edge))):
+            tree_graph_gram((2, 2), [edge])
